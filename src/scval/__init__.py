@@ -20,7 +20,6 @@ from .errors import (
     NoConvergence,
     PredictorFailure,
     ScvalError,
-    SingularDiisSystem,
     SpeciesMismatch,
 )
 from .matcore import (

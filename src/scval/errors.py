@@ -21,10 +21,6 @@ class FermiDegeneracy(ScvalError):
     pass
 
 
-class SingularDiisSystem(ScvalError):
-    pass
-
-
 class NoConvergence(ScvalError):
     """SCF ran out of iterations.  Carries the best iterate seen so far."""
 

@@ -11,7 +11,7 @@ to the exact solve otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,23 +122,6 @@ def repulsion_forces(g: model.Geometry, p: model.ModelParams) -> np.ndarray:
     return (mag[:, :, None] * diff).sum(axis=1)
 
 
-def _robust_solve(g, p, cfg, d0):
-    """SCF with fallbacks: warm start, then cold, then heavy damping.
-
-    A warm-start density several MD steps stale can drop a hot geometry
-    into a charge-sloshing limit cycle; retrying from scratch (and, last,
-    with conservative mixing) recovers most of those cases.
-    """
-    attempts = [d0, None] if d0 is not None else [None]
-    for guess in attempts:
-        try:
-            return scf.scf_solve(g, p, cfg, d0=guess)
-        except NoConvergence:
-            continue
-    rescue = replace(cfg, damping=0.1, diis_start=6, max_iter=4 * cfg.max_iter)
-    return scf.scf_solve(g, p, rescue, d0=None)
-
-
 def _forces_exact(
     g: model.Geometry,
     p: model.ModelParams,
@@ -148,11 +131,13 @@ def _forces_exact(
 ):
     """Central finite differences of the SCF total energy.
 
-    Returns (forces, center solution); displaced solves are warm-started
-    from the center density, which keeps them to a few iterations.
+    Returns (forces, center solution).  The center solve starts from
+    ``d0`` when given and the displaced solves from the center density,
+    which keeps them to a few iterations; a failed solve raises
+    NoConvergence.
     """
     cfg = scf_cfg or _MD_SCF
-    center = _robust_solve(g, p, cfg, d0)
+    center = scf.scf_solve(g, p, cfg, d0=d0)
     forces = np.zeros((g.n_atoms, 3))
     base = g.positions
     for i in range(g.n_atoms):
@@ -161,8 +146,8 @@ def _forces_exact(
             plus[i, a] += step
             minus = base.copy()
             minus[i, a] -= step
-            e_plus = _robust_solve(g.with_positions(plus), p, cfg, center.density)
-            e_minus = _robust_solve(g.with_positions(minus), p, cfg, center.density)
+            e_plus = scf.scf_solve(g.with_positions(plus), p, cfg, d0=center.density)
+            e_minus = scf.scf_solve(g.with_positions(minus), p, cfg, d0=center.density)
             forces[i, a] = -(e_plus.e_total - e_minus.e_total) / (2.0 * step)
     return forces, center
 

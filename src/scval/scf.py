@@ -1,45 +1,46 @@
-"""Self-consistent field solver with Pulay-style acceleration.
+"""Self-consistent field solver with Anderson mixing of the charges.
 
-The fixed point D = density(eigensolve(H(D))) is found by iterating the
-functional and extrapolating the Hamiltonian from the recent history of
-commutator residuals.  When the extrapolation system degenerates, the
-oldest residual is dropped and the extrapolation retried on the shorter
-history; plain linear density mixing is used only once fewer than two
-residuals remain.
+H(D) depends on D only through the Mulliken charges q, and affinely, so
+the solver mixes Hamiltonians and measures progress on q.  Each
+iteration fills the aufbau density D of an input Hamiltonian H_in and
+banks the damped pair (1 - damping) H_in + damping H(D), with its
+charges, and the charge residual q(D) - q_in.  The next input combines
+the banked pairs with weights that sum to one and minimize the combined
+residual (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer.
+Anal. 49, 1715 (2011)).  On one banked pair this is plain linear mixing.
+The commutator residual at D is the stopping test, so the returned pair
+keeps H = H(D) exactly and D is always an aufbau density.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, model
-from .errors import NoConvergence, SingularDiisSystem
+from .errors import NoConvergence
 
 __all__ = [
     "ScfConfig",
-    "DiisHistory",
-    "diis_coefficients",
-    "diis_extrapolate",
     "scf_solve",
     "scf_trace",
     "write_trace_csv",
 ]
-
-# Pivot tolerance for declaring the bordered extrapolation system singular.
-_PIVOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class ScfConfig:
     """Iteration limits and mixing knobs.
 
-    Extrapolation kicks in once the iteration index reaches
-    ``diis_start`` and at least two residuals are banked; setting
-    ``diis_start`` beyond ``max_iter`` gives a damping-only solve.
+    ``damping`` is the weight of the output Hamiltonian in each linear
+    mixing step, ``diis_depth`` the number of recent iterations the
+    Anderson weights combine, and ``diis_start`` the first iteration
+    that combines more than the latest one.  Setting ``diis_start``
+    beyond ``max_iter`` gives plain linear mixing; since H is affine in
+    D, that follows the Hamiltonians of density damping started from a
+    density with the reference charges.
     """
 
     max_iter: int = 200
@@ -61,76 +62,19 @@ class ScfConfig:
         matcore.resolve_norm(self.norm)
 
 
-class DiisHistory:
-    """Ring buffer of (hamiltonian, residual) pairs, oldest dropped first."""
+def _anderson_weights(residuals) -> np.ndarray:
+    """Weights c with sum c = 1 minimizing |sum_k c_k r_k|.
 
-    def __init__(self, depth: int):
-        self._items = deque(maxlen=depth)
-
-    def push(self, h: np.ndarray, e: np.ndarray) -> None:
-        self._items.append((h, e))
-
-    def drop_oldest(self) -> None:
-        if self._items:
-            self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def hamiltonians(self):
-        return [h for h, _ in self._items]
-
-    @property
-    def errors(self):
-        return [e for _, e in self._items]
-
-
-def diis_coefficients(errors) -> np.ndarray:
-    """Mixing weights minimizing |sum_k c_k e_k|_F subject to sum c_k = 1.
-
-    Solves the bordered system with B_kl = <e_k, e_l> (Frobenius inner
-    product) and a Lagrange row enforcing the constraint.  A system that
-    is singular beyond the pivot tolerance is refused.  Near convergence
-    the history spans many decades of residual size, so a refusal usually
-    means the old, large residuals dominate the scaled Gram matrix; the
-    solver then drops the oldest entry and asks again, and damps only
-    once fewer than two residuals remain.
+    Least squares on differences to the latest residual, which returns
+    the minimum-norm answer for a rank-deficient history instead of
+    refusing it.
     """
-    m = len(errors)
-    if m < 1:
-        raise SingularDiisSystem("no residuals to extrapolate from")
-    flat = [np.asarray(e, dtype=float).ravel() for e in errors]
-    b = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            b[i, j] = b[j, i] = float(flat[i] @ flat[j])
-    scale = float(np.abs(b).max())
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise SingularDiisSystem("residual overlap matrix is zero or non-finite")
-    bordered = np.zeros((m + 1, m + 1))
-    bordered[:m, :m] = b / scale
-    bordered[:m, m] = 1.0
-    bordered[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    sv = np.linalg.svd(bordered, compute_uv=False)
-    if sv[-1] <= _PIVOT_TOL * sv[0]:
-        raise SingularDiisSystem(
-            f"bordered system condition beyond pivot tolerance ({sv[-1]:.3e})"
-        )
-    coeffs = np.linalg.solve(bordered, rhs)[:m]
-    return coeffs
-
-
-def diis_extrapolate(hist: DiisHistory) -> np.ndarray:
-    """Extrapolated Hamiltonian sum_k c_k H_k from the banked history."""
-    coeffs = diis_coefficients(hist.errors)
-    hs = hist.hamiltonians
-    out = coeffs[0] * hs[0]
-    for c, h in zip(coeffs[1:], hs[1:]):
-        out = out + c * h
-    return out
+    if len(residuals) == 1:
+        return np.ones(1)
+    last = residuals[-1]
+    diffs = np.stack([r - last for r in residuals[:-1]], axis=1)
+    gamma = np.linalg.lstsq(diffs, -last, rcond=None)[0]
+    return np.append(gamma, 1.0 - gamma.sum())
 
 
 def _package(
@@ -158,49 +102,44 @@ def _run(g: model.Geometry, p: model.ModelParams, cfg: ScfConfig, d0=None):
     h0 = model.build_h0(g, p)
     x = matcore.loewdin_inverse_sqrt(s)
     e_rep = model.repulsion_energy(g, p)
+    beta = cfg.damping
 
     def density_from(h):
-        eig = matcore._eigensolve_orthogonalized(x, h)
-        occ = matcore.aufbau_occupations(eig.energies, g.n_electrons)
-        return matcore.build_density(eig.coeffs, occ)
+        # Unpinned eigenvector signs: C occ C^T is bit-identical either way.
+        w, v = np.linalg.eigh(matcore.symmetrize(x @ h @ x))
+        occ = matcore.aufbau_occupations(w, g.n_electrons)
+        return matcore.build_density(x @ v, occ)
 
     if d0 is not None:
-        # Project the guess through one functional build + diagonalization:
-        # a raw guess can commute with H(S') while carrying a stale trace,
-        # which would otherwise pass the residual check untouched.
-        d = density_from(model.effective_hamiltonian(np.asarray(d0, float), g, p, s=s, h0=h0))
+        d0 = np.asarray(d0, float)
+        h_in = model.effective_hamiltonian(d0, g, p, s=s, h0=h0)
+        q_in = model.mulliken_charges(d0, s)
     else:
-        d = density_from(h0)
-    hist = DiisHistory(cfg.diis_depth)
+        h_in, q_in = h0, p.q_ref_for(g.species)
+    hist = deque(maxlen=cfg.diis_depth)  # (residual, damped H, damped q)
     trace = []
-    best = None  # (err, h, d, e_total, iteration)
+    best = None  # (err, d, e_total, iteration)
 
     for it in range(1, cfg.max_iter + 1):
+        d = density_from(h_in)
         h = model.effective_hamiltonian(d, g, p, s=s, h0=h0)
-        e = matcore.commutator_error(h, d, s)
-        err = matcore.error_magnitude(e, cfg.norm)
+        err = matcore.error_magnitude(matcore.commutator_error(h, d, s), cfg.norm)
         e_total = model.electronic_energy(d, g, p, s=s, h0=h0) + e_rep
         trace.append((it, err, e_total))
         if best is None or err < best[0]:
-            best = (err, h, d, e_total, it)
+            best = (err, d, e_total, it)
         if err <= cfg.tol:
-            sol = _package(x, s, d, g, p, h0, err, e_total, it, True)
-            return sol, trace
-        hist.push(h, e)
-        extrapolated = None
-        while it >= cfg.diis_start and len(hist) >= 2:
-            try:
-                extrapolated = diis_extrapolate(hist)
-                break
-            except SingularDiisSystem:
-                hist.drop_oldest()
-        if extrapolated is not None:
-            d = density_from(extrapolated)
-        else:
-            d_new = density_from(h)
-            d = (1.0 - cfg.damping) * d + cfg.damping * d_new
+            return _package(x, s, d, g, p, h0, err, e_total, it, True), trace
+        q = model.mulliken_charges(d, s)
+        hist.append(
+            (q - q_in, (1 - beta) * h_in + beta * h, (1 - beta) * q_in + beta * q)
+        )
+        mix = list(hist) if it >= cfg.diis_start else [hist[-1]]
+        c = _anderson_weights([r for r, _, _ in mix])
+        h_in = sum(ck * hk for ck, (_, hk, _) in zip(c, mix))
+        q_in = sum(ck * qk for ck, (_, _, qk) in zip(c, mix))
 
-    err, h, d, e_total, it = best
+    err, d, e_total, it = best
     sol = _package(x, s, d, g, p, h0, err, e_total, cfg.max_iter, False)
     raise NoConvergence(
         f"no convergence after {cfg.max_iter} iterations "

@@ -94,7 +94,6 @@ def generate_dataset(
     temperature: float = 300.0,
     seed: int = 0,
     scf_cfg: scf.ScfConfig | None = None,
-    traj_scf_cfg: scf.ScfConfig | None = None,
     md_dt: float = 0.5,
     md_stride: int = 10,
     md_burnin: int = 100,
@@ -109,13 +108,11 @@ def generate_dataset(
     up with GenerationExhausted.
 
     ``scf_cfg`` governs the labeling solves only.  The md_sample
-    trajectory runs at the looser dynamics default (finite-difference
-    forces resolve nothing below ~1e-6) unless ``traj_scf_cfg``
-    overrides it.
+    trajectory runs at the looser dynamics default, since its
+    finite-difference forces resolve nothing below ~1e-6.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    traj_cfg = traj_scf_cfg
     scf_cfg = scf_cfg or scf.ScfConfig()
     entries = []
     attempts = 0
@@ -144,7 +141,7 @@ def generate_dataset(
             mode="exact",
             seed=seed,
         )
-        result = mdsim.run_md(seed_geometry, p, cfg, scf_cfg=traj_cfg)
+        result = mdsim.run_md(seed_geometry, p, cfg)
         idx = md_burnin
         warm = None
         while len(entries) < n and attempts < max_attempts:

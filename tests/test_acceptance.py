@@ -29,7 +29,8 @@ from test_scf import brute_force_energy
 
 P = model.ModelParams()
 
-# No DIIS: plain 5% mixing, the reference the acceleration is measured against.
+# Plain 5% linear mixing, the reference the Anderson acceleration is measured
+# against.
 DAMPING_ONLY = scf.ScfConfig(max_iter=20000, damping=0.05, diis_start=10**9)
 
 
@@ -39,9 +40,9 @@ def _verdict(capsys, number, ok, text):
 
 
 def _perturbed_chain(rng):
-    # 0.15 A displacements give chains whose residual history spans many
-    # decades before convergence, which is where a refused extrapolation
-    # must be retried on a shorter history rather than damped.
+    # 0.15 A displacements give chains that damping alone needs hundreds
+    # of iterations for, and whose residual history spans many decades
+    # before the accelerated solve converges.
     m = int(rng.integers(4, 9))
     g = chain_geometry(m, spacing=1.45, n_electrons=m if m % 2 == 0 else m - 1)
     return g.with_positions(g.positions + rng.uniform(-0.15, 0.15, (m, 3)))
@@ -49,7 +50,7 @@ def _perturbed_chain(rng):
 
 @pytest.fixture(scope="module")
 def chain_solutions():
-    """Twenty seeded chains, each solved with DIIS and with damping only."""
+    """Twenty seeded chains, each solved by default and with damping only."""
     rng = np.random.default_rng(202)
     out = []
     for _ in range(20):
@@ -149,8 +150,8 @@ def test_04_diis_at_least_halves_iteration_count(chain_solutions, capsys):
     d_e = max(abs(sol.e_total - ref.e_total) for _, sol, ref in chain_solutions)
     ok = fast <= 0.5 * slow and d_e <= 1e-7
     _verdict(capsys, 4, ok,
-             f"median iterations {fast:.0f} with DIIS vs {slow:.0f} damping-only, "
-             f"same energies to {d_e:.1e} eV")
+             f"median iterations {fast:.0f} with Anderson mixing vs "
+             f"{slow:.0f} damping-only, same energies to {d_e:.1e} eV")
     assert ok, (fast, slow, d_e)
 
 
