@@ -41,6 +41,7 @@ from .model import (
     build_overlap,
     effective_hamiltonian,
     energy,
+    forces,
     load_geometry,
     mulliken_charges,
     observables,
@@ -67,6 +68,6 @@ from .surrogate import (
     save_dataset,
 )
 from .stats import bin_records, correlation_report, linfit
-from .mdsim import MdConfig, MdResult, forces_exact, forces_surrogate, run_md
+from .mdsim import MdConfig, MdResult, forces_surrogate, run_md
 
 __version__ = "0.1.0"

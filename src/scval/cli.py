@@ -54,10 +54,10 @@ def _resolve_norm(args, cfg) -> str:
     return norm
 
 
-def _scf_config(cfg: Mapping, norm: str, tol_default: float = 1e-9) -> scf.ScfConfig:
+def _scf_config(cfg: Mapping, norm: str) -> scf.ScfConfig:
     return scf.ScfConfig(
         max_iter=int(cfg.get("scf.max_iter", 200)),
-        tol=float(cfg.get("scf.tol", tol_default)),
+        tol=float(cfg.get("scf.tol", 1e-9)),
         damping=float(cfg.get("scf.damping", 0.3)),
         diis_depth=int(cfg.get("scf.diis_depth", 8)),
         diis_start=int(cfg.get("scf.diis_start", 2)),
@@ -394,9 +394,7 @@ def cmd_md(args) -> int:
     cfg = _load_config(args.config)
     norm = _resolve_norm(args, cfg)
     p = model.model_params_from_config(cfg)
-    # Trajectory solves default looser than labeling: finite-difference
-    # forces cannot resolve below ~1e-6, so 1e-9 would only cost iterations.
-    scf_cfg = _scf_config(cfg, norm, tol_default=1e-8)
+    scf_cfg = _scf_config(cfg, norm)
     masses = model.masses_from_config(cfg, g.species)
 
     predictor = None

@@ -1,8 +1,8 @@
 """Velocity-Verlet dynamics with a weak-coupling thermostat and a
 self-consistency gate.
 
-Three force modes: exact (finite differences of the SCF energy),
-surrogate_only (density-frozen forces from a predictor), and
+Three force modes: exact (analytic variational forces of the SCF
+energy), surrogate_only (density-frozen forces from a predictor), and
 predictor_corrector, which trusts the surrogate only while the self
 residual of its prediction stays at or below a threshold and falls back
 to the exact solve otherwise.
@@ -25,9 +25,7 @@ __all__ = [
     "MdConfig",
     "MdFrame",
     "MdResult",
-    "forces_exact",
     "forces_surrogate",
-    "repulsion_forces",
     "maxwell_velocities",
     "instantaneous_temperature",
     "run_md",
@@ -39,14 +37,8 @@ KB_EV_PER_K = 8.617333262e-5
 # 1 amu * A^2 / fs^2 expressed in eV.
 EV_PER_AMU_A2_FS2 = 1.66053906660e-27 * 1e10 / 1.602176634e-19
 
-FD_STEP = 1e-4  # Angstrom, central-difference displacement
 _POSITION_LIMIT = 1.0e3   # Angstrom
 _TEMPERATURE_LIMIT = 1.0e6  # Kelvin
-
-# Default for solves inside a trajectory.  Forces differenced at FD_STEP
-# cannot resolve anything below ~1e-6, so dynamics does not need the
-# tight default the labeling/validation paths use.
-_MD_SCF = scf.ScfConfig(tol=1e-8)
 _DEFAULT_MASS = 12.011    # amu
 
 _MODES = ("exact", "surrogate_only", "predictor_corrector")
@@ -112,80 +104,11 @@ class MdResult:
         return np.array([f.temperature for f in self.frames])
 
 
-def repulsion_forces(g: model.Geometry, p: model.ModelParams) -> np.ndarray:
-    """Analytic gradient of the pairwise Born-Mayer repulsion."""
-    pos = g.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    r = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(r, np.inf)
-    mag = (p.rep_a / p.rep_rho) * np.exp(-r / p.rep_rho) / r
-    return (mag[:, :, None] * diff).sum(axis=1)
-
-
-def _forces_exact(
-    g: model.Geometry,
-    p: model.ModelParams,
-    scf_cfg: scf.ScfConfig | None = None,
-    step: float = FD_STEP,
-    d0=None,
-):
-    """Central finite differences of the SCF total energy.
-
-    Returns (forces, center solution).  The center solve starts from
-    ``d0`` when given and the displaced solves from the center density,
-    which keeps them to a few iterations; a failed solve raises
-    NoConvergence.
-    """
-    cfg = scf_cfg or _MD_SCF
-    center = scf.scf_solve(g, p, cfg, d0=d0)
-    forces = np.zeros((g.n_atoms, 3))
-    base = g.positions
-    for i in range(g.n_atoms):
-        for a in range(3):
-            plus = base.copy()
-            plus[i, a] += step
-            minus = base.copy()
-            minus[i, a] -= step
-            e_plus = scf.scf_solve(g.with_positions(plus), p, cfg, d0=center.density)
-            e_minus = scf.scf_solve(g.with_positions(minus), p, cfg, d0=center.density)
-            forces[i, a] = -(e_plus.e_total - e_minus.e_total) / (2.0 * step)
-    return forces, center
-
-
-def forces_exact(
-    g: model.Geometry,
-    p: model.ModelParams,
-    scf_cfg: scf.ScfConfig | None = None,
-    step: float = FD_STEP,
-) -> np.ndarray:
-    forces, _ = _forces_exact(g, p, scf_cfg, step)
-    return forces
-
-
 def forces_surrogate(
-    g: model.Geometry,
-    p: model.ModelParams,
-    pred: Prediction,
-    step: float = FD_STEP,
+    g: model.Geometry, p: model.ModelParams, pred: Prediction
 ) -> np.ndarray:
-    """Density-frozen forces from a predicted pair.
-
-    The electronic part is differenced with D held fixed at the
-    prediction; the repulsion derivative is taken analytically.
-    """
-    d = pred.d_pred
-    forces = repulsion_forces(g, p)
-    base = g.positions
-    for i in range(g.n_atoms):
-        for a in range(3):
-            plus = base.copy()
-            plus[i, a] += step
-            minus = base.copy()
-            minus[i, a] -= step
-            e_plus = model.electronic_energy(d, g.with_positions(plus), p)
-            e_minus = model.electronic_energy(d, g.with_positions(minus), p)
-            forces[i, a] += -(e_plus - e_minus) / (2.0 * step)
-    return forces
+    """Density-frozen forces, with D held fixed at the prediction."""
+    return model.forces(pred.d_pred, g, p)
 
 
 def maxwell_velocities(
@@ -237,17 +160,18 @@ def run_md(
 
     def evaluate(g):
         # Returns (forces, e_total, self_residual, corrected).
-        if cfg.mode == "exact":
-            f, sol = _forces_exact(g, p, scf_cfg, d0=warm["d"])
-            warm["d"] = sol.density
-            return f, sol.e_total, float("nan"), True
-        pred = predictor(g)
-        sd = self_diis(pred, model.build_overlap(g, p), cfg.norm)
-        if cfg.mode == "surrogate_only" or sd <= cfg.threshold:
-            f = forces_surrogate(g, p, pred)
-            return f, model.energy(pred.d_pred, g, p), sd, False
-        f, sol = _forces_exact(g, p, scf_cfg, d0=warm["d"])
+        sd = float("nan")
+        if cfg.mode != "exact":
+            pred = predictor(g)
+            sd = self_diis(pred, model.build_overlap(g, p), cfg.norm)
+            if cfg.mode == "surrogate_only" or sd <= cfg.threshold:
+                f = forces_surrogate(g, p, pred)
+                return f, model.energy(pred.d_pred, g, p), sd, False
+        # The solve starts from the last exact density, which keeps it to
+        # a few iterations; a failed solve raises NoConvergence.
+        sol = scf.scf_solve(g, p, scf_cfg, d0=warm["d"])
         warm["d"] = sol.density
+        f = model.forces(sol.density, g, p, h=sol.hamiltonian)
         return f, sol.e_total, sd, True
 
     rng = substream(cfg.seed, "velocities")

@@ -4,7 +4,9 @@ The electronic energy is E(D) = tr(D H0) + 1/2 sum_i U_i (q_i - qref_i)^2
 plus a pairwise Born-Mayer repulsion; the effective Hamiltonian is its
 exact derivative with respect to the density matrix, which is what makes
 the commutator residual in :mod:`scval.matcore` a faithful convergence
-criterion for this model.
+criterion for this model.  Its derivative with respect to the positions
+at fixed D is analytic too: :func:`forces` gives the density-frozen force
+and, given H(D) of a converged solution, the variational one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "electronic_energy",
     "energy",
     "effective_hamiltonian",
+    "forces",
     "frontier_gap",
     "observables",
     "load_geometry",
@@ -197,6 +200,34 @@ def effective_hamiltonian(d, g: Geometry, p: ModelParams, s=None, h0=None) -> np
     dq = mulliken_charges(d, s) - p.q_ref_for(g.species)
     udq = p.hubbard_for(g.species) * dq
     return h0 + 0.5 * s * (udq[:, None] + udq[None, :])
+
+
+def forces(d, g: Geometry, p: ModelParams, h=None) -> np.ndarray:
+    """-dE/dR (eV/A) of the total energy at the fixed density D.
+
+    Without ``h`` this is the density-frozen force.  With ``h = H(D)`` of
+    a converged closed-shell solution it adds the overlap term
+    -tr(W dS), W = 1/2 D H D, and so gives the variational force of the
+    SCF energy (Elstner et al., PRB 58, 7260 (1998)).  Each pair
+    contributes dE/dr_ij (x_i - x_j) / r_ij, with dH0/dr = -beta H0,
+    dS/dr = -2 alpha r S and the Born-Mayer repulsion in the same sum.
+    """
+    # E depends on D only through its symmetric part.
+    d = matcore.symmetrize(np.asarray(d, dtype=float))
+    s = build_overlap(g, p)
+    h0 = build_h0(g, p)
+    udq = p.hubbard_for(g.species) * (mulliken_charges(d, s) - p.q_ref_for(g.species))
+    w = 0.5 * d * (udq[:, None] + udq[None, :])
+    if h is not None:
+        w = w - 0.5 * d @ np.asarray(h, dtype=float) @ d
+    diff = g.positions[:, None, :] - g.positions[None, :, :]
+    r = pair_distances(g)
+    # An infinite self-distance zeroes the diagonal of the 1/r terms; the
+    # diagonals of S and H0 do not depend on the positions.
+    np.fill_diagonal(r, np.inf)
+    radial = -2.0 * p.beta * d * h0 - (p.rep_a / p.rep_rho) * np.exp(-r / p.rep_rho)
+    de_dr_over_r = radial / r - 4.0 * p.alpha * w * s
+    return -(de_dr_over_r[:, :, None] * diff).sum(axis=1)
 
 
 @dataclass

@@ -107,9 +107,8 @@ def generate_dataset(
     fails are skipped (logged); after 10*n attempts the generation gives
     up with GenerationExhausted.
 
-    ``scf_cfg`` governs the labeling solves only.  The md_sample
-    trajectory runs at the looser dynamics default, since its
-    finite-difference forces resolve nothing below ~1e-6.
+    ``scf_cfg`` governs the labeling solves only; the md_sample
+    trajectory solves at the ``ScfConfig`` default.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

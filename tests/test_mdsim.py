@@ -33,7 +33,12 @@ def kernel_predictor(seed_geometry, n=20, seed=21, k=4):
 # --- forces ----------------------------------------------------------------------
 
 
-def test_repulsion_forces_match_finite_differences():
+def exact_forces(g, p=P):
+    sol = scf.scf_solve(g, p)
+    return model.forces(sol.density, g, p, h=sol.hamiltonian)
+
+
+def test_zero_density_forces_are_pure_repulsion():
     rng = np.random.default_rng(0)
     pos = rng.uniform(-1.0, 1.0, (5, 3)) * 2.0
     g = model.Geometry(("A",) * 5, pos, 4)
@@ -46,7 +51,11 @@ def test_repulsion_forces_match_finite_differences():
                 total += P.rep_a * math.exp(-r / P.rep_rho)
         return total
 
-    analytic = mdsim.repulsion_forces(g, P)
+    zeros = np.zeros((5, 5))
+    analytic = model.forces(zeros, g, P)
+    np.testing.assert_array_equal(
+        mdsim.forces_surrogate(g, P, Prediction(zeros, zeros)), analytic
+    )
     h = 1e-6
     for i in range(5):
         for a in range(3):
@@ -60,7 +69,7 @@ def test_repulsion_forces_match_finite_differences():
 
 def test_exact_forces_sum_to_zero():
     g = chain_geometry(4, spacing=1.45, n_electrons=4)
-    f = mdsim.forces_exact(g, P)
+    f = exact_forces(g)
     assert np.abs(f.sum(axis=0)).max() <= 1e-6
 
 
@@ -70,18 +79,8 @@ def test_equilibrium_dimer_has_no_net_force():
         lambda r: scf.scf_solve(dimer(r), P).e_total,
         bracket=(1.2, 1.5), method="brent", options={"xtol": 1e-10},
     )
-    f = mdsim.forces_exact(dimer(res.x), P)
-    assert np.abs(f).max() <= 1e-3
-
-
-def test_finite_difference_error_scales_quadratically():
-    g = dimer(1.7)
-    f1 = mdsim.forces_exact(g, P, step=0.02)[1, 0]
-    f2 = mdsim.forces_exact(g, P, step=0.01)[1, 0]
-    # Richardson: halving the step shrinks the truncation error 4x.
-    f_ref = (4 * f2 - f1) / 3.0
-    ratio = (f1 - f_ref) / (f2 - f_ref)
-    assert ratio == pytest.approx(4.0, abs=0.5)
+    f = exact_forces(dimer(res.x))
+    assert np.abs(f).max() <= 1e-6
 
 
 def test_frozen_density_forces_near_stationarity():
@@ -89,17 +88,9 @@ def test_frozen_density_forces_near_stationarity():
     # density-frozen force tracks the variational one inside the well.
     p = model.ModelParams(alpha=4.0)
     g = dimer(1.6)
-    exact = mdsim.forces_exact(g, p)
+    exact = exact_forces(g, p)
     frozen = mdsim.forces_surrogate(g, p, label_prediction(g, p))
     assert np.abs(frozen - exact).max() <= 0.02 * np.abs(exact).max()
-
-
-def test_zero_density_forces_are_pure_repulsion():
-    g = chain_geometry(3, spacing=1.3, n_electrons=2)
-    pred = Prediction(np.zeros((3, 3)), np.zeros((3, 3)))
-    np.testing.assert_array_equal(
-        mdsim.forces_surrogate(g, P, pred), mdsim.repulsion_forces(g, P)
-    )
 
 
 def test_surrogate_forces_sum_to_zero():

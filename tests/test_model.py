@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from scval import matcore, model
-from scval.errors import FileFormatError, InvalidGeometry
-from scval.systems import ring_geometry
+from scval import matcore, model, scf
+from scval.errors import (
+    FermiDegeneracy,
+    FileFormatError,
+    InvalidGeometry,
+    NoConvergence,
+)
+from scval.systems import random_geometry, ring_geometry
 
 
 def dimer(r, n_electrons=2):
@@ -285,6 +292,91 @@ def test_permutation_equivariance():
     assert model.energy(d[np.ix_(perm, perm)], g2, p) == pytest.approx(
         model.energy(d, g, p), abs=1e-12
     )
+
+
+# --- forces -----------------------------------------------------------------------
+
+TIGHT = scf.ScfConfig(tol=1e-12)
+TWO_SPECIES = model.ModelParams(hubbard_u={"A": 8.0, "B": 6.0},
+                                eps0={"A": 0.0, "B": -1.0})
+FORCE_EXAMPLES = settings(max_examples=20, deadline=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.filter_too_much])
+SEEDS = st.integers(0, 2**32 - 1)
+SIZES = st.integers(4, 8)
+
+
+def fd_position_gradient(energy_of, g, step=1e-5):
+    """Central difference of energy_of(geometry) w.r.t. each coordinate."""
+    grad = np.zeros((g.n_atoms, 3))
+    for i in range(g.n_atoms):
+        for a in range(3):
+            plus = g.positions.copy()
+            plus[i, a] += step
+            minus = g.positions.copy()
+            minus[i, a] -= step
+            grad[i, a] = (energy_of(g.with_positions(plus))
+                          - energy_of(g.with_positions(minus))) / (2.0 * step)
+    return grad
+
+
+def tight_solution(g, p):
+    try:
+        return scf.scf_solve(g, p, TIGHT)
+    except (NoConvergence, FermiDegeneracy):
+        assume(False)
+
+
+def frozen_density(sol, rng):
+    # Off the fixed point and not even symmetric; E(D), and so the force,
+    # sees only the symmetric part.
+    return sol.density + 0.05 * rng.standard_normal(sol.density.shape)
+
+
+@FORCE_EXAMPLES
+@given(seed=SEEDS, n_atoms=SIZES)
+def test_forces_are_the_negative_energy_gradient(seed, n_atoms):
+    rng = np.random.default_rng(seed)
+    p = model.ModelParams()
+    g = random_geometry(rng, n_atoms)
+    sol = tight_solution(g, p)
+    f = model.forces(sol.density, g, p, h=sol.hamiltonian)
+    fd = -fd_position_gradient(
+        lambda q: scf.scf_solve(q, p, TIGHT, d0=sol.density).e_total, g)
+    assert np.abs(f - fd).max() <= 1e-6 * max(1.0, np.abs(f).max())
+
+    d = frozen_density(sol, rng)
+    f = model.forces(d, g, p)
+    fd = -fd_position_gradient(lambda q: model.energy(d, q, p), g)
+    assert np.abs(f - fd).max() <= 1e-6 * max(1.0, np.abs(f).max())
+
+
+@FORCE_EXAMPLES
+@given(seed=SEEDS, n_atoms=SIZES)
+def test_forces_are_rigid_motion_and_permutation_covariant(seed, n_atoms):
+    rng = np.random.default_rng(seed)
+    p = TWO_SPECIES
+    g = random_geometry(rng, n_atoms, species=("A", "B"))
+    sol = tight_solution(g, p)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    rot = q * np.sign(np.diag(r))
+    rot *= np.linalg.det(rot)  # proper rotation
+    moved = g.with_positions(g.positions @ rot.T + rng.uniform(-5.0, 5.0, 3))
+    perm = rng.permutation(n_atoms)
+    permuted = model.Geometry([g.species[i] for i in perm], g.positions[perm],
+                              g.n_electrons)
+    ix = np.ix_(perm, perm)
+    for d, h in ((sol.density, sol.hamiltonian),
+                 (frozen_density(sol, rng), None)):
+        f = model.forces(d, g, p, h=h)
+        tol = 1e-10 * max(1.0, np.abs(f).max())
+        assert np.abs(f.sum(axis=0)).max() <= tol
+        torque = np.cross(g.positions, f).sum(axis=0)
+        assert np.abs(torque).max() <= tol * np.abs(g.positions).max()
+        np.testing.assert_allclose(model.forces(d, moved, p, h=h), f @ rot.T,
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            model.forces(d[ix], permuted, p, h=None if h is None else h[ix]),
+            f[perm], rtol=0, atol=tol)
 
 
 # --- xyz and config files --------------------------------------------------------
