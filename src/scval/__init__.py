@@ -34,6 +34,7 @@ from .matcore import (
     write_scvm,
 )
 from .model import (
+    Context,
     Geometry,
     ModelParams,
     ScfSolution,
@@ -44,7 +45,6 @@ from .model import (
     forces,
     load_geometry,
     mulliken_charges,
-    observables,
 )
 from .scf import ScfConfig, scf_solve, scf_trace
 from .validator import (

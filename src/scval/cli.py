@@ -13,6 +13,8 @@ import argparse
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -65,6 +67,13 @@ def _scf_config(cfg: Mapping, norm: str) -> scf.ScfConfig:
     )
 
 
+def _settings(args) -> tuple:
+    """(config mapping, norm, model params, SCF config) of a run."""
+    cfg = _load_config(args.config)
+    norm = _resolve_norm(args, cfg)
+    return cfg, norm, model.model_params_from_config(cfg), _scf_config(cfg, norm)
+
+
 def _params_items(p: model.ModelParams) -> list:
     items = []
     for name in ("t0", "beta", "alpha", "r0", "hubbard_u", "eps0",
@@ -97,11 +106,9 @@ def _common_entries(args, norm, p, scf_cfg) -> list:
     entries = [("command", args.command), ("seed", args.seed), ("norm", norm)]
     entries += _params_items(p)
     entries += [
-        ("scf.max_iter", scf_cfg.max_iter),
-        ("scf.tol", scf_cfg.tol),
-        ("scf.damping", scf_cfg.damping),
-        ("scf.diis_depth", scf_cfg.diis_depth),
-        ("scf.diis_start", scf_cfg.diis_start),
+        (f"scf.{f.name}", getattr(scf_cfg, f.name))
+        for f in fields(scf_cfg)
+        if f.name != "norm"
     ]
     return entries
 
@@ -140,10 +147,7 @@ def _write_solution(out: Path, sol: model.ScfSolution, trace, g) -> None:
 
 def cmd_scf(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg = _load_config(args.config)
-    norm = _resolve_norm(args, cfg)
-    p = model.model_params_from_config(cfg)
-    scf_cfg = _scf_config(cfg, norm)
+    cfg, norm, p, scf_cfg = _settings(args)
     out = _outdir(args)
     _write_resolved_config(
         out, _common_entries(args, norm, p, scf_cfg) + [("geometry", args.geometry)]
@@ -165,10 +169,7 @@ def cmd_scf(args) -> int:
 
 def cmd_gen(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg = _load_config(args.config)
-    norm = _resolve_norm(args, cfg)
-    p = model.model_params_from_config(cfg)
-    scf_cfg = _scf_config(cfg, norm)
+    cfg, norm, p, scf_cfg = _settings(args)
     ds = surrogate.generate_dataset(
         g,
         p,
@@ -222,16 +223,13 @@ def _kernel_from_args(args, fallback_ds=None):
 
 def cmd_validate(args) -> int:
     ds = surrogate.load_dataset(args.dataset)
-    cfg = _load_config(args.config)
-    norm = _resolve_norm(args, cfg)
-    p = model.model_params_from_config(cfg)
-    scf_cfg = _scf_config(cfg, norm)
+    cfg, norm, p, scf_cfg = _settings(args)
     extra = [
         ("validate.dataset", args.dataset),
         ("validate.predictor", args.predictor),
     ]
 
-    tasks = []  # (system, callable producing a Prediction, entry)
+    tasks = []  # (system, callable producing a Prediction, entry index)
     if args.predictor == "oracle-noise":
         sigmas_h = _floats(args.sigma)
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
@@ -255,7 +253,7 @@ def cmd_validate(args) -> int:
                             shared_noise=args.shared_noise,
                         )
 
-                    tasks.append((system, make, entry))
+                    tasks.append((system, make, i))
     elif args.predictor == "kernel":
         km, train = _kernel_from_args(args)
         extra += [
@@ -264,10 +262,8 @@ def cmd_validate(args) -> int:
             ("validate.k", km.k_neighbors),
         ]
         for i, entry in enumerate(ds.entries):
-            def make(entry=entry):
-                return surrogate.kernel_predict(km, entry.geometry)
-
-            tasks.append((f"{i:04d}", make, entry))
+            make = partial(surrogate.kernel_predict, km, entry.geometry)
+            tasks.append((f"{i:04d}", make, i))
     elif args.predictor == "external-file":
         if not args.pred:
             raise ValueError("external-file predictor needs --pred DIR")
@@ -280,15 +276,17 @@ def cmd_validate(args) -> int:
                 _, pred, _ = validator.read_prediction_dir(sub)
                 return pred
 
-            tasks.append((f"{i:04d}", make, entry))
+            tasks.append((f"{i:04d}", make, i))
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown predictor {args.predictor!r}")
 
+    # One context per entry, shared by all of the entry's records.
+    contexts = [model.Context(e.geometry, p) for e in ds.entries]
+
     def run(task):
-        system, make, entry = task
-        pred = make()
+        system, make, i = task
         return validator.full_report(
-            pred, entry.solution, entry.geometry, p, norm=norm, system=system
+            make(), ds.entries[i].solution, contexts[i], norm=norm, system=system
         )
 
     if args.jobs > 1:
@@ -352,10 +350,7 @@ def cmd_stats(args) -> int:
 
 def cmd_grad(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg = _load_config(args.config)
-    norm = _resolve_norm(args, cfg)
-    p = model.model_params_from_config(cfg)
-    scf_cfg = _scf_config(cfg, norm)
+    cfg, norm, p, scf_cfg = _settings(args)
     km, _ = _kernel_from_args(args)
     predictor = lambda gg: surrogate.kernel_predict(km, gg)
     grad = validator.self_diis_position_gradient(
@@ -391,10 +386,7 @@ def cmd_grad(args) -> int:
 
 def cmd_md(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg = _load_config(args.config)
-    norm = _resolve_norm(args, cfg)
-    p = model.model_params_from_config(cfg)
-    scf_cfg = _scf_config(cfg, norm)
+    cfg, norm, p, scf_cfg = _settings(args)
     masses = model.masses_from_config(cfg, g.species)
 
     predictor = None

@@ -115,15 +115,6 @@ def _fix_column_signs(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _eigensolve_orthogonalized(x: np.ndarray, h: np.ndarray) -> EigSolution:
-    # Shared inner path: callers that keep X around (SCF loops) skip the
-    # repeated Loewdin factorization.
-    hp = x @ h @ x
-    w, v = np.linalg.eigh(symmetrize(hp))
-    c = _fix_column_signs(x @ v)
-    return EigSolution(coeffs=c, energies=w)
-
-
 def gen_eigensolve(h, s, lin_dep_tol: float = LIN_DEP_TOL) -> EigSolution:
     """Solve H C = S C diag(e) via Loewdin orthogonalization.
 
@@ -137,7 +128,8 @@ def gen_eigensolve(h, s, lin_dep_tol: float = LIN_DEP_TOL) -> EigSolution:
             f"hamiltonian {h.shape} and overlap {s.shape} differ"
         )
     x = loewdin_inverse_sqrt(s, lin_dep_tol)
-    return _eigensolve_orthogonalized(x, h)
+    w, v = np.linalg.eigh(symmetrize(x @ h @ x))
+    return EigSolution(coeffs=_fix_column_signs(x @ v), energies=w)
 
 
 def aufbau_occupations(

@@ -39,7 +39,6 @@ EV_PER_AMU_A2_FS2 = 1.66053906660e-27 * 1e10 / 1.602176634e-19
 
 _POSITION_LIMIT = 1.0e3   # Angstrom
 _TEMPERATURE_LIMIT = 1.0e6  # Kelvin
-_DEFAULT_MASS = 12.011    # amu
 
 _MODES = ("exact", "surrogate_only", "predictor_corrector")
 
@@ -104,11 +103,9 @@ class MdResult:
         return np.array([f.temperature for f in self.frames])
 
 
-def forces_surrogate(
-    g: model.Geometry, p: model.ModelParams, pred: Prediction
-) -> np.ndarray:
+def forces_surrogate(ctx: model.Context, pred: Prediction) -> np.ndarray:
     """Density-frozen forces, with D held fixed at the prediction."""
-    return model.forces(pred.d_pred, g, p)
+    return ctx.forces(pred.d_pred)
 
 
 def maxwell_velocities(
@@ -151,7 +148,7 @@ def run_md(
     if cfg.mode != "exact" and predictor is None:
         raise ValueError(f"mode {cfg.mode!r} needs a predictor")
     if masses is None:
-        masses = np.full(g0.n_atoms, _DEFAULT_MASS)
+        masses = np.full(g0.n_atoms, model._DEFAULT_MASS)
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (g0.n_atoms,) or np.any(masses <= 0):
         raise ValueError("masses must be positive, one per atom")
@@ -160,19 +157,18 @@ def run_md(
 
     def evaluate(g):
         # Returns (forces, e_total, self_residual, corrected).
+        ctx = model.Context(g, p)
         sd = float("nan")
         if cfg.mode != "exact":
             pred = predictor(g)
-            sd = self_diis(pred, model.build_overlap(g, p), cfg.norm)
+            sd = self_diis(pred, ctx.s, cfg.norm)
             if cfg.mode == "surrogate_only" or sd <= cfg.threshold:
-                f = forces_surrogate(g, p, pred)
-                return f, model.energy(pred.d_pred, g, p), sd, False
+                return forces_surrogate(ctx, pred), ctx.energy(pred.d_pred), sd, False
         # The solve starts from the last exact density, which keeps it to
         # a few iterations; a failed solve raises NoConvergence.
         sol = scf.scf_solve(g, p, scf_cfg, d0=warm["d"])
         warm["d"] = sol.density
-        f = model.forces(sol.density, g, p, h=sol.hamiltonian)
-        return f, sol.e_total, sd, True
+        return ctx.forces(sol.density, h=sol.hamiltonian), sol.e_total, sd, True
 
     rng = substream(cfg.seed, "velocities")
     pos = g0.positions.copy()

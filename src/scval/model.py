@@ -5,25 +5,33 @@ plus a pairwise Born-Mayer repulsion; the effective Hamiltonian is its
 exact derivative with respect to the density matrix, which is what makes
 the commutator residual in :mod:`scval.matcore` a faithful convergence
 criterion for this model.  Its derivative with respect to the positions
-at fixed D is analytic too: :func:`forces` gives the density-frozen force
-and, given H(D) of a converged solution, the variational one.
+at fixed D is analytic too: the density-frozen force and, given H(D) of
+a converged solution, the variational one.
+
+:class:`Context` holds what depends only on the geometry (S, X = S^-1/2,
+H0, U, q_ref, E_rep), and its methods are the one implementation of
+H(D), E(D) and the forces.  Callers that visit many densities on one
+geometry build it once; the module functions of the same names are
+one-line calls through a fresh context.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import matcore
-from .errors import FermiDegeneracy, FileFormatError, InvalidGeometry
+from .errors import FileFormatError, InvalidGeometry
 
 __all__ = [
     "Geometry",
     "ModelParams",
     "ScfSolution",
+    "Context",
     "pair_distances",
     "build_overlap",
     "build_h0",
@@ -34,7 +42,6 @@ __all__ = [
     "effective_hamiltonian",
     "forces",
     "frontier_gap",
-    "observables",
     "load_geometry",
     "dump_geometry",
     "format_xyz_frame",
@@ -172,78 +179,131 @@ def repulsion_energy(g: Geometry, p: ModelParams) -> float:
     return float((p.rep_a * np.exp(-r[iu] / p.rep_rho)).sum())
 
 
-def electronic_energy(d, g: Geometry, p: ModelParams, s=None, h0=None) -> float:
-    """Band plus charge-fluctuation energy, no ion-ion repulsion."""
-    d = np.asarray(d, dtype=float)
-    if s is None:
-        s = build_overlap(g, p)
-    if h0 is None:
-        h0 = build_h0(g, p)
-    dq = mulliken_charges(d, s) - p.q_ref_for(g.species)
-    u = p.hubbard_for(g.species)
-    band = float(np.einsum("ij,ji->", d, h0))
-    return band + 0.5 * float((u * dq * dq).sum())
+@dataclass(frozen=True, eq=False)
+class Context:
+    """The terms of the model that depend only on (geometry, params).
+
+    S, H0, the per-atom U and q_ref arrays and E_rep are each built on
+    first use and then kept, as is X = S^-1/2, so a caller that never
+    diagonalizes neither pays for X nor meets its LinearDependence.
+    Build one per geometry and share it between every density on it.
+    """
+
+    g: Geometry
+    p: ModelParams
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return build_overlap(self.g, self.p)
+
+    @cached_property
+    def h0(self) -> np.ndarray:
+        return build_h0(self.g, self.p)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return matcore.loewdin_inverse_sqrt(self.s)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.p.hubbard_for(self.g.species)
+
+    @cached_property
+    def q_ref(self) -> np.ndarray:
+        return self.p.q_ref_for(self.g.species)
+
+    @cached_property
+    def e_rep(self) -> float:
+        return repulsion_energy(self.g, self.p)
+
+    def orbitals(self, h) -> tuple:
+        """Ascending levels and S-orthonormal orbitals, signs not pinned."""
+        w, v = np.linalg.eigh(matcore.symmetrize(self.x @ h @ self.x))
+        return w, self.x @ v
+
+    def electronic_energy(self, d) -> float:
+        """Band plus charge-fluctuation energy, no ion-ion repulsion."""
+        d = np.asarray(d, dtype=float)
+        dq = mulliken_charges(d, self.s) - self.q_ref
+        band = float(np.einsum("ij,ji->", d, self.h0))
+        return band + 0.5 * float((self.u * dq * dq).sum())
+
+    def energy(self, d) -> float:
+        """Total energy E(D) = tr(D H0) + 1/2 sum U (q - qref)^2 + E_rep."""
+        return self.electronic_energy(d) + self.e_rep
+
+    def effective_hamiltonian(self, d) -> np.ndarray:
+        """H(D) = dE/dD: H0 plus the charge response 1/2 S_ij (U_i dq_i + U_j dq_j)."""
+        d = np.asarray(d, dtype=float)
+        udq = self.u * (mulliken_charges(d, self.s) - self.q_ref)
+        return self.h0 + 0.5 * self.s * (udq[:, None] + udq[None, :])
+
+    def forces(self, d, h=None) -> np.ndarray:
+        """-dE/dR (eV/A) of the total energy at the fixed density D.
+
+        Without ``h`` this is the density-frozen force.  With ``h = H(D)``
+        of a converged closed-shell solution it adds the overlap term
+        -tr(W dS), W = 1/2 D H D, and so gives the variational force of
+        the SCF energy (Elstner et al., PRB 58, 7260 (1998)).  Each pair
+        contributes dE/dr_ij (x_i - x_j) / r_ij, with dH0/dr = -beta H0,
+        dS/dr = -2 alpha r S and the Born-Mayer repulsion in the same sum.
+        """
+        g, p, s, h0 = self.g, self.p, self.s, self.h0
+        # E depends on D only through its symmetric part.
+        d = matcore.symmetrize(np.asarray(d, dtype=float))
+        udq = self.u * (mulliken_charges(d, s) - self.q_ref)
+        w = 0.5 * d * (udq[:, None] + udq[None, :])
+        if h is not None:
+            w = w - 0.5 * d @ np.asarray(h, dtype=float) @ d
+        diff = g.positions[:, None, :] - g.positions[None, :, :]
+        r = pair_distances(g)
+        # An infinite self-distance zeroes the diagonal of the 1/r terms;
+        # the diagonals of S and H0 do not depend on the positions.
+        np.fill_diagonal(r, np.inf)
+        radial = -2.0 * p.beta * d * h0 - (p.rep_a / p.rep_rho) * np.exp(-r / p.rep_rho)
+        de_dr_over_r = radial / r - 4.0 * p.alpha * w * s
+        return -(de_dr_over_r[:, :, None] * diff).sum(axis=1)
 
 
-def energy(d, g: Geometry, p: ModelParams, s=None, h0=None) -> float:
-    """Total energy E(D) = tr(D H0) + 1/2 sum U (q - qref)^2 + E_rep."""
-    return electronic_energy(d, g, p, s=s, h0=h0) + repulsion_energy(g, p)
+def electronic_energy(d, g: Geometry, p: ModelParams) -> float:
+    return Context(g, p).electronic_energy(d)
 
 
-def effective_hamiltonian(d, g: Geometry, p: ModelParams, s=None, h0=None) -> np.ndarray:
-    """H(D) = dE/dD: H0 plus the charge response 1/2 S_ij (U_i dq_i + U_j dq_j)."""
-    d = np.asarray(d, dtype=float)
-    if s is None:
-        s = build_overlap(g, p)
-    if h0 is None:
-        h0 = build_h0(g, p)
-    dq = mulliken_charges(d, s) - p.q_ref_for(g.species)
-    udq = p.hubbard_for(g.species) * dq
-    return h0 + 0.5 * s * (udq[:, None] + udq[None, :])
+def energy(d, g: Geometry, p: ModelParams) -> float:
+    return Context(g, p).energy(d)
+
+
+def effective_hamiltonian(d, g: Geometry, p: ModelParams) -> np.ndarray:
+    return Context(g, p).effective_hamiltonian(d)
 
 
 def forces(d, g: Geometry, p: ModelParams, h=None) -> np.ndarray:
-    """-dE/dR (eV/A) of the total energy at the fixed density D.
-
-    Without ``h`` this is the density-frozen force.  With ``h = H(D)`` of
-    a converged closed-shell solution it adds the overlap term
-    -tr(W dS), W = 1/2 D H D, and so gives the variational force of the
-    SCF energy (Elstner et al., PRB 58, 7260 (1998)).  Each pair
-    contributes dE/dr_ij (x_i - x_j) / r_ij, with dH0/dr = -beta H0,
-    dS/dr = -2 alpha r S and the Born-Mayer repulsion in the same sum.
-    """
-    # E depends on D only through its symmetric part.
-    d = matcore.symmetrize(np.asarray(d, dtype=float))
-    s = build_overlap(g, p)
-    h0 = build_h0(g, p)
-    udq = p.hubbard_for(g.species) * (mulliken_charges(d, s) - p.q_ref_for(g.species))
-    w = 0.5 * d * (udq[:, None] + udq[None, :])
-    if h is not None:
-        w = w - 0.5 * d @ np.asarray(h, dtype=float) @ d
-    diff = g.positions[:, None, :] - g.positions[None, :, :]
-    r = pair_distances(g)
-    # An infinite self-distance zeroes the diagonal of the 1/r terms; the
-    # diagonals of S and H0 do not depend on the positions.
-    np.fill_diagonal(r, np.inf)
-    radial = -2.0 * p.beta * d * h0 - (p.rep_a / p.rep_rho) * np.exp(-r / p.rep_rho)
-    de_dr_over_r = radial / r - 4.0 * p.alpha * w * s
-    return -(de_dr_over_r[:, :, None] * diff).sum(axis=1)
+    return Context(g, p).forces(d, h)
 
 
 @dataclass
 class ScfSolution:
-    """Converged (or best-effort) self-consistent pair with bookkeeping."""
+    """Converged (or best-effort) self-consistent pair with bookkeeping.
+
+    ``coeffs`` and ``energies``, the eigenpairs of (H, S), are solved on
+    first read; no code in the package reads them.
+    """
 
     hamiltonian: np.ndarray
     density: np.ndarray
     overlap: np.ndarray
-    coeffs: np.ndarray
-    energies: np.ndarray
     e_total: float
     gap: float
     strict_diis: float
     iterations: int
     converged: bool
+
+    @cached_property
+    def _eig(self) -> matcore.EigSolution:
+        return matcore.gen_eigensolve(self.hamiltonian, self.overlap)
+
+    coeffs = property(lambda self: self._eig.coeffs)
+    energies = property(lambda self: self._eig.energies)
 
 
 def frontier_gap(energies, n_electrons: int) -> float:
@@ -253,15 +313,6 @@ def frontier_gap(energies, n_electrons: int) -> float:
     if n_occ >= energies.shape[0]:
         return 0.0
     return float(energies[n_occ] - energies[n_occ - 1])
-
-
-def observables(sol: ScfSolution) -> tuple:
-    """(e_total, gap) of a solution; refuses a degenerate Fermi level."""
-    n_e = int(round(float(np.einsum("ij,ji->", sol.density, sol.overlap))))
-    gap = frontier_gap(sol.energies, n_e)
-    if n_e < 2 * sol.energies.shape[0] and gap < matcore.DEGENERACY_TOL:
-        raise FermiDegeneracy(f"frontier gap {gap:.3e} is degenerate")
-    return sol.e_total, gap
 
 
 # ---------------------------------------------------------------------------

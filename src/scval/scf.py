@@ -9,7 +9,9 @@ the banked pairs with weights that sum to one and minimize the combined
 residual (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer.
 Anal. 49, 1715 (2011)).  On one banked pair this is plain linear mixing.
 The commutator residual at D is the stopping test, so the returned pair
-keeps H = H(D) exactly and D is always an aufbau density.
+keeps H = H(D) exactly and D is always an aufbau density.  Each solve
+builds one :class:`model.Context` and takes S, X, H0, U, q_ref and E_rep
+from it.
 """
 
 from __future__ import annotations
@@ -77,20 +79,14 @@ def _anderson_weights(residuals) -> np.ndarray:
     return np.append(gamma, 1.0 - gamma.sum())
 
 
-def _package(
-    x, s, d, g, p, h0, err, e_total, iterations, converged
-) -> model.ScfSolution:
-    h = model.effective_hamiltonian(d, g, p, s=s, h0=h0)
-    eig = matcore._eigensolve_orthogonalized(x, h)
-    gap = model.frontier_gap(eig.energies, g.n_electrons)
+def _package(ctx, d, err, e_total, iterations, converged) -> model.ScfSolution:
+    h = ctx.effective_hamiltonian(d)
     return model.ScfSolution(
         hamiltonian=h,
         density=d,
-        overlap=s,
-        coeffs=eig.coeffs,
-        energies=eig.energies,
+        overlap=ctx.s,
         e_total=e_total,
-        gap=gap,
+        gap=model.frontier_gap(ctx.orbitals(h)[0], ctx.g.n_electrons),
         strict_diis=err,
         iterations=iterations,
         converged=converged,
@@ -98,39 +94,31 @@ def _package(
 
 
 def _run(g: model.Geometry, p: model.ModelParams, cfg: ScfConfig, d0=None):
-    s = model.build_overlap(g, p)
-    h0 = model.build_h0(g, p)
-    x = matcore.loewdin_inverse_sqrt(s)
-    e_rep = model.repulsion_energy(g, p)
+    ctx = model.Context(g, p)
     beta = cfg.damping
-
-    def density_from(h):
-        # Unpinned eigenvector signs: C occ C^T is bit-identical either way.
-        w, v = np.linalg.eigh(matcore.symmetrize(x @ h @ x))
-        occ = matcore.aufbau_occupations(w, g.n_electrons)
-        return matcore.build_density(x @ v, occ)
-
     if d0 is not None:
         d0 = np.asarray(d0, float)
-        h_in = model.effective_hamiltonian(d0, g, p, s=s, h0=h0)
-        q_in = model.mulliken_charges(d0, s)
+        h_in = ctx.effective_hamiltonian(d0)
+        q_in = model.mulliken_charges(d0, ctx.s)
     else:
-        h_in, q_in = h0, p.q_ref_for(g.species)
+        h_in, q_in = ctx.h0, ctx.q_ref
     hist = deque(maxlen=cfg.diis_depth)  # (residual, damped H, damped q)
     trace = []
     best = None  # (err, d, e_total, iteration)
 
     for it in range(1, cfg.max_iter + 1):
-        d = density_from(h_in)
-        h = model.effective_hamiltonian(d, g, p, s=s, h0=h0)
-        err = matcore.error_magnitude(matcore.commutator_error(h, d, s), cfg.norm)
-        e_total = model.electronic_energy(d, g, p, s=s, h0=h0) + e_rep
+        levels, orbs = ctx.orbitals(h_in)
+        occ = matcore.aufbau_occupations(levels, g.n_electrons)
+        d = matcore.build_density(orbs, occ)
+        h = ctx.effective_hamiltonian(d)
+        err = matcore.error_magnitude(matcore.commutator_error(h, d, ctx.s), cfg.norm)
+        e_total = ctx.energy(d)
         trace.append((it, err, e_total))
         if best is None or err < best[0]:
             best = (err, d, e_total, it)
         if err <= cfg.tol:
-            return _package(x, s, d, g, p, h0, err, e_total, it, True), trace
-        q = model.mulliken_charges(d, s)
+            return _package(ctx, d, err, e_total, it, True), trace
+        q = model.mulliken_charges(d, ctx.s)
         hist.append(
             (q - q_in, (1 - beta) * h_in + beta * h, (1 - beta) * q_in + beta * q)
         )
@@ -140,7 +128,7 @@ def _run(g: model.Geometry, p: model.ModelParams, cfg: ScfConfig, d0=None):
         q_in = sum(ck * qk for ck, (_, _, qk) in zip(c, mix))
 
     err, d, e_total, it = best
-    sol = _package(x, s, d, g, p, h0, err, e_total, cfg.max_iter, False)
+    sol = _package(ctx, d, err, e_total, cfg.max_iter, False)
     raise NoConvergence(
         f"no convergence after {cfg.max_iter} iterations "
         f"(best residual {err:.3e} at iteration {it})",

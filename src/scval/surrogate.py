@@ -11,7 +11,7 @@ the validator is supposed to catch.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +235,13 @@ class KernelModel:
     k_neighbors: int
 
 
+def _descriptor_distances(desc: np.ndarray) -> np.ndarray:
+    """(m, m) Euclidean distances between the rows of ``desc``."""
+    return np.sqrt(
+        np.maximum(((desc[:, None, :] - desc[None, :, :]) ** 2).sum(-1), 0.0)
+    )
+
+
 def kernel_fit(
     ds: Dataset, bandwidth: float | None = None, k_neighbors: int = 8
 ) -> KernelModel:
@@ -250,11 +257,7 @@ def kernel_fit(
     m = len(ds)
     desc = np.stack([descriptor(e.geometry) for e in ds.entries])
     if bandwidth is None:
-        dist = np.sqrt(
-            np.maximum(
-                ((desc[:, None, :] - desc[None, :, :]) ** 2).sum(-1), 0.0
-            )
-        )
+        dist = _descriptor_distances(desc)
         np.fill_diagonal(dist, np.inf)
         nn = dist.min(axis=1) if m > 1 else np.array([np.inf])
         finite = nn[np.isfinite(nn)]
@@ -321,23 +324,8 @@ def kernel_loo(
     n_entries = len(ds)
     if n_entries < 2:
         raise EmptyDataset("leave-one-out needs at least two entries")
-    full = np.sqrt(
-        np.maximum(
-            (
-                (m.descriptors[:, None, :] - m.descriptors[None, :, :]) ** 2
-            ).sum(-1),
-            0.0,
-        )
-    )
-    loo_model = KernelModel(
-        species=m.species,
-        n_electrons=m.n_electrons,
-        descriptors=m.descriptors,
-        h_train=m.h_train,
-        d_train=m.d_train,
-        bandwidth=m.bandwidth,
-        k_neighbors=min(m.k_neighbors, n_entries - 1),
-    )
+    full = _descriptor_distances(m.descriptors)
+    loo_model = replace(m, k_neighbors=min(m.k_neighbors, n_entries - 1))
     out = {"self_diis": [], "mae_h": [], "mae_d": []}
     for i, entry in enumerate(ds.entries):
         dists = full[i].copy()
@@ -388,7 +376,11 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Rebuild a dataset; eigenvectors are re-derived from (H, S)."""
+    """Rebuild a dataset from its files.
+
+    No eigensolve runs here: a loaded solution solves (H, S) for its
+    ``coeffs`` and ``energies`` only when they are first read.
+    """
     path = Path(path)
     manifest_path = path / _MANIFEST
     if not manifest_path.exists():
@@ -415,13 +407,10 @@ def load_dataset(path) -> Dataset:
         d = matcore.read_scvm(sub / "D.scvm")
         s = matcore.read_scvm(sub / "S.scvm")
         meta = model.read_config(sub / "meta")
-        eig = matcore.gen_eigensolve(h, s)
         sol = model.ScfSolution(
             hamiltonian=h,
             density=d,
             overlap=s,
-            coeffs=eig.coeffs,
-            energies=eig.energies,
             e_total=float(meta["e_total"]),
             gap=float(meta["gap"]),
             strict_diis=float(meta["strict_diis"]),

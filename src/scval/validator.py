@@ -115,35 +115,36 @@ def self_report(
 def full_report(
     pred: Prediction,
     label: model.ScfSolution,
-    g: model.Geometry,
-    p: model.ModelParams,
+    ctx: model.Context,
     norm: str = "frobenius",
     system: str = "",
 ) -> DiisReport:
-    """Compare a prediction against a labeled solve on the same geometry."""
-    s = label.overlap
-    h_from_d = model.effective_hamiltonian(pred.d_pred, g, p, s=s)
+    """Compare a prediction against a labeled solve on the same geometry.
+
+    ``ctx`` is the :class:`model.Context` of that geometry; every
+    record on it can share one.
+    """
+    h_from_d = ctx.effective_hamiltonian(pred.d_pred)
     strict = matcore.error_magnitude(
-        matcore.commutator_error(h_from_d, pred.d_pred, s), norm
+        matcore.commutator_error(h_from_d, pred.d_pred, ctx.s), norm
     )
     mixed_hd = matcore.error_magnitude(
-        matcore.commutator_error(label.hamiltonian, pred.d_pred, s), norm
+        matcore.commutator_error(label.hamiltonian, pred.d_pred, ctx.s), norm
     )
     mixed_dh = matcore.error_magnitude(
-        matcore.commutator_error(pred.h_pred, label.density, s), norm
+        matcore.commutator_error(pred.h_pred, label.density, ctx.s), norm
     )
-    eig_pred = matcore.gen_eigensolve(pred.h_pred, s)
-    gap_pred = model.frontier_gap(eig_pred.energies, g.n_electrons)
+    gap_pred = model.frontier_gap(ctx.orbitals(pred.h_pred)[0], ctx.g.n_electrons)
     return DiisReport(
         system=str(system),
         source=pred.source,
-        self_diis=self_diis(pred, s, norm),
+        self_diis=self_diis(pred, ctx.s, norm),
         strict_diis=strict,
         mixed_hd=mixed_hd,
         mixed_dh=mixed_dh,
         mae_h=matrix_mae(pred.h_pred, label.hamiltonian),
         mae_d=matrix_mae(pred.d_pred, label.density),
-        d_e_total=abs(model.energy(pred.d_pred, g, p, s=s) - label.e_total),
+        d_e_total=abs(ctx.energy(pred.d_pred) - label.e_total),
         d_gap=abs(gap_pred - label.gap),
     )
 

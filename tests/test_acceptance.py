@@ -64,6 +64,7 @@ def noise_sweep():
     """1800 noisy predictions of one labeled chain, sigma swept over 2 decades."""
     g = chain_geometry(6, spacing=1.45, n_electrons=6)
     label = scf.scf_solve(g, P)
+    ctx = model.Context(g, P)
     reports = []
     for si, sigma in enumerate(np.logspace(-4, -2, 9)):
         for k in range(200):
@@ -71,7 +72,7 @@ def noise_sweep():
                 label, sigma, sigma, seed=100000 + 1000 * si + k
             )
             reports.append(
-                validator.full_report(pred, label, g, P, system=f"s{si}:r{k}")
+                validator.full_report(pred, label, ctx, system=f"s{si}:r{k}")
             )
     return g, label, reports
 
@@ -291,7 +292,7 @@ def test_09_consistent_pairs_can_hide_wrong_hamiltonians(capsys):
     occ = matcore.aufbau_occupations(eig.energies, g.n_electrons)
     d_wrong = matcore.build_density(eig.coeffs, occ)
     report = validator.full_report(
-        validator.Prediction(h_wrong, d_wrong), label, g, P
+        validator.Prediction(h_wrong, d_wrong), label, model.Context(g, P)
     )
     scale = max(1.0, float(np.linalg.norm(h_wrong) * np.linalg.norm(s)))
     ok = report.self_diis <= 1e-9 * scale and report.mae_h >= 0.1

@@ -144,6 +144,32 @@ def test_sigma_sweep_feeds_stats(work, tmp_path):
     assert len(plot_rows) == 12 * 3 * 8
 
 
+def test_validate_builds_geometry_terms_once_per_entry(work, tmp_path,
+                                                      monkeypatch):
+    # All records of an entry share its geometry, so X = S^-1/2 and H0
+    # are built once per entry, not once per record.
+    calls = {"loewdin_inverse_sqrt": 0, "build_h0": 0}
+
+    def counting(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counting(matcore, "loewdin_inverse_sqrt")
+    counting(model, "build_h0")
+    code = cli.main(["validate", "--dataset", str(work["ds"]),
+                     "--predictor", "oracle-noise",
+                     "--sigma", "0.001,0.01", "--repeat", "3",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert len(read_rows(tmp_path / "reports.csv")) == 12 * 2 * 3
+    assert calls == {"loewdin_inverse_sqrt": 12, "build_h0": 12}
+
+
 def test_validate_output_independent_of_jobs(work, tmp_path):
     outs = []
     for jobs in ("1", "3"):

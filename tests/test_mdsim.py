@@ -69,7 +69,7 @@ def test_zero_density_forces_are_pure_repulsion():
     g = chain_geometry(3, spacing=1.3, n_electrons=2)
     zeros = np.zeros((3, 3))
     np.testing.assert_array_equal(
-        mdsim.forces_surrogate(g, P, Prediction(zeros, zeros)),
+        mdsim.forces_surrogate(model.Context(g, P), Prediction(zeros, zeros)),
         model.forces(zeros, g, P),
     )
 
@@ -96,13 +96,13 @@ def test_frozen_density_forces_near_stationarity():
     p = model.ModelParams(alpha=4.0)
     g = dimer(1.6)
     exact = exact_forces(g, p)
-    frozen = mdsim.forces_surrogate(g, p, label_prediction(g, p))
+    frozen = mdsim.forces_surrogate(model.Context(g, p), label_prediction(g, p))
     assert np.abs(frozen - exact).max() <= 0.02 * np.abs(exact).max()
 
 
 def test_surrogate_forces_sum_to_zero():
     g = chain_geometry(4, spacing=1.45, n_electrons=4)
-    f = mdsim.forces_surrogate(g, P, label_prediction(g))
+    f = mdsim.forces_surrogate(model.Context(g, P), label_prediction(g))
     assert np.abs(f.sum(axis=0)).max() <= 1e-6
 
 

@@ -19,24 +19,20 @@ def density_damping(g, p, beta=0.05, max_iter=10000, tol=1e-11):
     (hamiltonians, energy, converged), where hamiltonians holds H(D) of
     every aufbau density D the loop diagonalized its way to.
     """
-    s = model.build_overlap(g, p)
-    h0 = model.build_h0(g, p)
-    x = matcore.loewdin_inverse_sqrt(s)
+    ctx = model.Context(g, p)
     # S has a unit diagonal, so this density has Mulliken charges q_ref
     # and H(d) = H0.
-    d = np.diag(p.q_ref_for(g.species))
+    d = np.diag(ctx.q_ref)
     hamiltonians = []
     for _ in range(max_iter):
-        eig = matcore._eigensolve_orthogonalized(
-            x, model.effective_hamiltonian(d, g, p, s=s, h0=h0)
-        )
-        occ = matcore.aufbau_occupations(eig.energies, g.n_electrons)
-        d_new = matcore.build_density(eig.coeffs, occ)
-        h_new = model.effective_hamiltonian(d_new, g, p, s=s, h0=h0)
+        energies, coeffs = ctx.orbitals(ctx.effective_hamiltonian(d))
+        occ = matcore.aufbau_occupations(energies, g.n_electrons)
+        d_new = matcore.build_density(coeffs, occ)
+        h_new = ctx.effective_hamiltonian(d_new)
         hamiltonians.append(h_new)
-        err = matcore.error_magnitude(matcore.commutator_error(h_new, d_new, s))
+        err = matcore.error_magnitude(matcore.commutator_error(h_new, d_new, ctx.s))
         if err <= tol:
-            return hamiltonians, model.energy(d_new, g, p, s=s, h0=h0), True
+            return hamiltonians, ctx.energy(d_new), True
         d = (1.0 - beta) * d + beta * d_new
     return hamiltonians, None, False
 
@@ -91,13 +87,13 @@ def test_converged_invariants_random_geometries():
         d = sol.density
         # The reported pair satisfies H = H(D) exactly by construction.
         np.testing.assert_allclose(
-            sol.hamiltonian, model.effective_hamiltonian(d, g, p, s=s),
+            sol.hamiltonian, model.effective_hamiltonian(d, g, p),
             atol=1e-14,
         )
         assert abs(np.trace(d @ s) - g.n_electrons) <= 1e-10
         np.testing.assert_allclose(d @ s @ d, 2 * d, atol=1e-8)
         assert sol.strict_diis <= 1e-9
-        assert model.energy(d, g, p, s=s) == pytest.approx(sol.e_total,
+        assert model.energy(d, g, p) == pytest.approx(sol.e_total,
                                                            abs=1e-10)
         # Fixed-point consistency: re-diagonalizing H reproduces D.
         occ = matcore.aufbau_occupations(sol.energies, g.n_electrons)
@@ -190,13 +186,13 @@ def test_linear_mixing_follows_density_damping(monkeypatch):
     )
     assert converged
     seen = []
-    real = model.effective_hamiltonian
+    real = model.Context.effective_hamiltonian
 
-    def recording(*args, **kwargs):
-        seen.append(real(*args, **kwargs))
+    def recording(ctx, d):
+        seen.append(real(ctx, d))
         return seen[-1]
 
-    monkeypatch.setattr(model, "effective_hamiltonian", recording)
+    monkeypatch.setattr(model.Context, "effective_hamiltonian", recording)
     sol = scf.scf_solve(g, p, DAMPING_ONLY)
     assert sol.iterations == len(expected)
     # One build per iteration, plus the rebuild of the returned pair.

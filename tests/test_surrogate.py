@@ -117,7 +117,9 @@ def test_seed_pair_strict_residual_grows_with_amplitude():
     for amplitude in (0.02, 0.05, 0.1):
         ds = surrogate.generate_dataset(g, P, 20, amplitude=amplitude, seed=3)
         vals = [
-            validator.full_report(pred, e.solution, e.geometry, P).strict_diis
+            validator.full_report(
+                pred, e.solution, model.Context(e.geometry, P)
+            ).strict_diis
             for e in ds.entries
         ]
         means.append(float(np.mean(vals)))

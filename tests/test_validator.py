@@ -74,7 +74,7 @@ def test_full_report_on_label_is_all_zero():
     g = chain_geometry(5, spacing=1.5, n_electrons=4)
     sol = solved(g)
     pred = validator.Prediction(sol.hamiltonian, sol.density, source="exact")
-    rep = validator.full_report(pred, sol, g, P, system="self")
+    rep = validator.full_report(pred, sol, model.Context(g, P), system="self")
     assert rep.system == "self" and rep.source == "exact"
     for name in ("self_diis", "strict_diis", "mixed_hd", "mixed_dh",
                  "mae_h", "mae_d", "d_e_total", "d_gap"):
@@ -89,7 +89,7 @@ def test_full_report_noisy_density_ordering():
         h_pred=sol.hamiltonian,
         d_pred=sol.density + sym_noise(rng, 5, 1e-3),
     )
-    rep = validator.full_report(pred, sol, g, P)
+    rep = validator.full_report(pred, sol, model.Context(g, P))
     # Noisy density breaks both the cross residual and the rebuilt-H one...
     assert rep.mixed_hd > 1e-5
     assert rep.strict_diis > 1e-5
@@ -145,7 +145,7 @@ def test_false_negative_diagonalized_wrong_hamiltonian():
     occ = matcore.aufbau_occupations(eig.energies, g.n_electrons)
     d_wrong = matcore.build_density(eig.coeffs, occ)
     pred = validator.Prediction(wrong, d_wrong)
-    rep = validator.full_report(pred, sol, g, P)
+    rep = validator.full_report(pred, sol, model.Context(g, P))
     scale = max(1.0, np.linalg.norm(wrong) * np.linalg.norm(sol.overlap))
     assert rep.self_diis <= 1e-9 * scale
     assert rep.mae_h > 0.1
@@ -250,7 +250,7 @@ def test_reports_csv_roundtrip(tmp_path):
     full = validator.full_report(
         validator.Prediction(sol.hamiltonian,
                              sol.density + sym_noise(rng, 4, 1e-3)),
-        sol, g, P, system="a",
+        sol, model.Context(g, P), system="a",
     )
     bare = validator.self_report(
         validator.Prediction(sol.hamiltonian, sol.density), sol.overlap,
