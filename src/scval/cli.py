@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Mapping
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import matcore, mdsim, model, scf, stats, surrogate, validator
 from .errors import FileFormatError, NoConvergence, ScvalError
+from .rng import substream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,14 +57,10 @@ def _resolve_norm(args, cfg) -> str:
 
 
 def _scf_config(cfg: Mapping, norm: str) -> scf.ScfConfig:
-    return scf.ScfConfig(
-        max_iter=int(cfg.get("scf.max_iter", 200)),
-        tol=float(cfg.get("scf.tol", 1e-9)),
-        damping=float(cfg.get("scf.damping", 0.3)),
-        diis_depth=int(cfg.get("scf.diis_depth", 8)),
-        diis_start=int(cfg.get("scf.diis_start", 2)),
-        norm=norm,
-    )
+    """ScfConfig from the ``scf.<field>`` keys; absent keys keep defaults."""
+    base = scf.ScfConfig(norm=norm)
+    keys = [f.name for f in fields(base) if f"scf.{f.name}" in cfg and f.name != "norm"]
+    return replace(base, **{k: type(getattr(base, k))(cfg[f"scf.{k}"]) for k in keys})
 
 
 def _settings(args) -> tuple:
@@ -118,12 +114,6 @@ def _floats(text: str) -> list:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"expected a comma-separated float list, got {text!r}")
-
-
-def _row_seed(seed: int, *parts) -> int:
-    """Deterministic per-row seed, independent of evaluation order."""
-    tag = ":".join(str(p) for p in (seed,) + parts)
-    return (int(seed) << 32) ^ zlib.crc32(tag.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +234,14 @@ def cmd_validate(args) -> int:
         for i, entry in enumerate(ds.entries):
             for j, (sh, sd) in enumerate(zip(sigmas_h, sigmas_d)):
                 for k in range(args.repeat):
-                    system = f"{i:04d}:s{j}:r{k}"
-                    seed = _row_seed(args.seed, i, j, k)
-
-                    def make(entry=entry, sh=sh, sd=sd, seed=seed):
+                    # One stream per row, whatever the evaluation order.
+                    def make(label=entry.solution, sh=sh, sd=sd, row=(i, j, k)):
+                        rng = substream(args.seed, "oracle-noise", *row)
                         return surrogate.oracle_noise_predict(
-                            entry.solution, sh, sd, seed=seed,
-                            shared_noise=args.shared_noise,
+                            label, sh, sd, rng, shared_noise=args.shared_noise
                         )
 
-                    tasks.append((system, make, i))
+                    tasks.append((f"{i:04d}:s{j}:r{k}", make, i))
     elif args.predictor == "kernel":
         km, train = _kernel_from_args(args)
         extra += [

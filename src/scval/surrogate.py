@@ -191,10 +191,10 @@ def oracle_noise_predict(
     label: model.ScfSolution,
     sigma_h: float,
     sigma_d: float,
-    seed: int = 0,
+    rng: np.random.Generator,
     shared_noise: bool = False,
 ) -> Prediction:
-    """Label plus seeded symmetric Gaussian noise.
+    """Label plus symmetric Gaussian noise drawn from ``rng``.
 
     With ``shared_noise`` both matrices reuse one draw (scaled by their
     sigmas), modeling a predictor whose H and D errors are correlated;
@@ -202,7 +202,6 @@ def oracle_noise_predict(
     """
     if sigma_h < 0 or sigma_d < 0:
         raise ValueError("noise amplitudes must be non-negative")
-    rng = substream(seed, "oracle-noise")
     n = label.hamiltonian.shape[0]
     noise_h = _symmetric_noise(rng, n)
     noise_d = noise_h if shared_noise else _symmetric_noise(rng, n)

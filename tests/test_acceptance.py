@@ -23,6 +23,7 @@ from scval import (
     validator,
 )
 from scval.mdsim import EV_PER_AMU_A2_FS2, KB_EV_PER_K, MdConfig
+from scval.rng import substream
 from scval.systems import chain_geometry, ring_geometry
 from test_model import fd_energy_gradient, random_valid_geometry
 from test_scf import brute_force_energy
@@ -69,7 +70,7 @@ def noise_sweep():
     for si, sigma in enumerate(np.logspace(-4, -2, 9)):
         for k in range(200):
             pred = surrogate.oracle_noise_predict(
-                label, sigma, sigma, seed=100000 + 1000 * si + k
+                label, sigma, sigma, substream(100000 + 1000 * si + k, "oracle-noise")
             )
             reports.append(
                 validator.full_report(pred, label, ctx, system=f"s{si}:r{k}")

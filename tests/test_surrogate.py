@@ -12,10 +12,15 @@ from scval.errors import (
     GenerationExhausted,
     SpeciesMismatch,
 )
+from scval.rng import substream
 from scval.surrogate import Dataset, DatasetEntry
 from scval.systems import chain_geometry
 
 P = model.ModelParams()
+
+
+def noise_rng(seed):
+    return substream(seed, "oracle-noise")
 
 
 def chain(spacing):
@@ -31,7 +36,7 @@ def entry(g):
 
 def test_zero_sigma_returns_label():
     label = scf.scf_solve(chain(1.4), P)
-    pred = surrogate.oracle_noise_predict(label, 0.0, 0.0, seed=1)
+    pred = surrogate.oracle_noise_predict(label, 0.0, 0.0, noise_rng(1))
     np.testing.assert_array_equal(pred.h_pred, label.hamiltonian)
     np.testing.assert_array_equal(pred.d_pred, label.density)
     assert pred.source == "oracle-noise"
@@ -39,9 +44,9 @@ def test_zero_sigma_returns_label():
 
 def test_noise_is_seeded():
     label = scf.scf_solve(chain(1.4), P)
-    a = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, seed=4)
-    b = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, seed=4)
-    c = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, seed=5)
+    a = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, noise_rng(4))
+    b = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, noise_rng(4))
+    c = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, noise_rng(5))
     np.testing.assert_array_equal(a.h_pred, b.h_pred)
     np.testing.assert_array_equal(a.d_pred, b.d_pred)
     assert np.abs(a.h_pred - c.h_pred).max() > 0
@@ -55,7 +60,7 @@ def test_noise_mae_matches_halfnormal_mean():
     sigma = 1e-3
     maes = [
         np.abs(
-            surrogate.oracle_noise_predict(label, sigma, 0.0, seed=s).h_pred
+            surrogate.oracle_noise_predict(label, sigma, 0.0, noise_rng(s)).h_pred
             - label.hamiltonian
         ).mean()
         for s in range(1000)
@@ -67,19 +72,19 @@ def test_noise_mae_matches_halfnormal_mean():
 def test_shared_noise_correlates_h_and_d():
     label = scf.scf_solve(chain(1.4), P)
     pred = surrogate.oracle_noise_predict(
-        label, 1e-3, 1e-2, seed=9, shared_noise=True
+        label, 1e-3, 1e-2, noise_rng(9), shared_noise=True
     )
     dh = (pred.h_pred - label.hamiltonian) / 1e-3
     dd = (pred.d_pred - label.density) / 1e-2
     np.testing.assert_allclose(dh, dd, atol=1e-12)
-    indep = surrogate.oracle_noise_predict(label, 1e-3, 1e-2, seed=9)
+    indep = surrogate.oracle_noise_predict(label, 1e-3, 1e-2, noise_rng(9))
     assert np.abs(indep.d_pred - label.density - 1e-2 * dh).max() > 1e-4
 
 
 def test_negative_sigma_rejected():
     label = scf.scf_solve(chain(1.4), P)
     with pytest.raises(ValueError):
-        surrogate.oracle_noise_predict(label, -1e-3, 0.0)
+        surrogate.oracle_noise_predict(label, -1e-3, 0.0, noise_rng(0))
 
 
 # --- dataset generation ----------------------------------------------------------

@@ -7,10 +7,15 @@ import pytest
 
 from scval import matcore, model, scf, surrogate, validator
 from scval.errors import FileFormatError
+from scval.rng import substream
 from scval.surrogate import Dataset, DatasetEntry
 from scval.systems import chain_geometry
 
 P = model.ModelParams()
+
+
+def noise_rng(seed):
+    return substream(seed, "oracle-noise")
 
 
 def solved(g):
@@ -106,7 +111,7 @@ def test_self_diis_monotone_in_noise():
     for sigma in (1e-4, 1e-3, 1e-2):
         vals = [
             validator.self_diis(
-                surrogate.oracle_noise_predict(sol, sigma, sigma, seed=k),
+                surrogate.oracle_noise_predict(sol, sigma, sigma, noise_rng(k)),
                 sol.overlap,
             )
             for k in range(100)
@@ -120,13 +125,13 @@ def test_self_diis_tracks_noise_scale():
     sol = solved(g)
     small = np.mean([
         validator.self_diis(
-            surrogate.oracle_noise_predict(sol, 1e-5, 1e-5, seed=k), sol.overlap
+            surrogate.oracle_noise_predict(sol, 1e-5, 1e-5, noise_rng(k)), sol.overlap
         )
         for k in range(50)
     ])
     big = np.mean([
         validator.self_diis(
-            surrogate.oracle_noise_predict(sol, 1e-3, 1e-3, seed=k), sol.overlap
+            surrogate.oracle_noise_predict(sol, 1e-3, 1e-3, noise_rng(k)), sol.overlap
         )
         for k in range(50)
     ])
