@@ -93,8 +93,7 @@ def test_converged_invariants_random_geometries():
         assert abs(np.trace(d @ s) - g.n_electrons) <= 1e-10
         np.testing.assert_allclose(d @ s @ d, 2 * d, atol=1e-8)
         assert sol.strict_diis <= 1e-9
-        assert model.energy(d, g, p) == pytest.approx(sol.e_total,
-                                                           abs=1e-10)
+        assert model.energy(d, g, p) == pytest.approx(sol.e_total, abs=1e-10)
         # Fixed-point consistency: re-diagonalizing H reproduces D.
         occ = matcore.aufbau_occupations(sol.energies, g.n_electrons)
         d_back = matcore.build_density(sol.coeffs, occ)

@@ -314,7 +314,7 @@ def test_dataset_roundtrip(tmp_path):
                                       orig.solution.overlap)
         assert loaded.solution.e_total == orig.solution.e_total
         assert loaded.solution.converged
-        # Eigenvectors are rebuilt from (H, S) on load.
+        # Eigenvectors are solved from (H, S) on first read.
         c, s = loaded.solution.coeffs, loaded.solution.overlap
         np.testing.assert_allclose(c.T @ s @ c, np.eye(len(c)), atol=1e-10)
 
