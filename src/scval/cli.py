@@ -198,17 +198,24 @@ def cmd_gen(args) -> int:
 # validate
 
 
-def _kernel_from_args(args, fallback_ds=None):
-    train_path = getattr(args, "train", None)
-    if train_path:
-        train = surrogate.load_dataset(train_path)
-    elif fallback_ds is not None:
-        train = fallback_ds
-    else:
+def _kernel_from_args(args):
+    if not args.train:
         raise ValueError("kernel predictor needs --train DIR")
+    train = surrogate.load_dataset(args.train)
     return surrogate.kernel_fit(
         train, bandwidth=args.bandwidth, k_neighbors=args.k
     ), train
+
+
+def _check_frames_match(frames, ds, path) -> None:
+    """A prediction bundle's frames must be the dataset's geometries."""
+    if len(frames) != len(ds):
+        raise FileFormatError(f"{path}: {len(frames)} frames for {len(ds)} entries")
+    for i, ((g, _), entry) in enumerate(zip(frames, ds.entries)):
+        ref = entry.geometry
+        same = (g.species, g.n_electrons) == (ref.species, ref.n_electrons)
+        if not same or np.abs(g.positions - ref.positions).max() > 1e-6:
+            raise FileFormatError(f"{path}: frame {i} is not the geometry of entry {i}")
 
 
 def cmd_validate(args) -> int:
@@ -256,14 +263,10 @@ def cmd_validate(args) -> int:
         if not args.pred:
             raise ValueError("external-file predictor needs --pred DIR")
         extra.append(("validate.pred", args.pred))
-        pred_root = Path(args.pred)
-        for i, entry in enumerate(ds.entries):
-            sub = pred_root / f"{i:04d}"
-
-            def make(sub=sub):
-                _, pred, _ = validator.read_prediction_dir(sub)
-                return pred
-
+        frames, stacks = surrogate._read_stack(args.pred, "HD")
+        _check_frames_match(frames, ds, args.pred)
+        for i in range(len(ds)):
+            make = partial(validator.Prediction, stacks["H"][i], stacks["D"][i])
             tasks.append((f"{i:04d}", make, i))
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown predictor {args.predictor!r}")
@@ -509,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="noise draws per (entry, sigma)")
     p_val.add_argument("--shared-noise", action="store_true",
                        help="reuse one noise draw for H and D")
-    p_val.add_argument("--pred", help="external prediction root dir")
+    p_val.add_argument("--pred", help="external prediction bundle directory")
     p_val.set_defaults(func=cmd_validate)
 
     p_stats = sub.add_parser("stats", parents=[common],

@@ -47,9 +47,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_META_FLOATS = ("e_total", "gap", "strict_diis")
-
-
 @dataclass
 class DatasetEntry:
     geometry: model.Geometry
@@ -338,83 +335,101 @@ def kernel_loo(
 
 
 # ---------------------------------------------------------------------------
-# Dataset directory layout: numbered subdirectories each holding
-# geometry.xyz, H.scvm, D.scvm, S.scvm and a key=value meta file, plus a
-# manifest listing the entries and the generation seed.
+# Bundle layout, m entries of n atoms in one directory: manifest.txt holds
+# the _MANIFEST_KEYS, "format = scval-dataset-v2" first;
+# geometries.xyz holds the m geometries as extended-XYZ frames, whose
+# comment lines carry a dataset's _LABELS; H.scvm, D.scvm and S.scvm each
+# hold one (m*n, n) stack in frame order.  A prediction bundle is
+# geometries.xyz, H.scvm and D.scvm, so a dataset is also a prediction
+# bundle of its own labels.  The v1 layout, one subdirectory per entry, is
+# rejected.
 
 _MANIFEST = "manifest.txt"
+_FRAMES = "geometries.xyz"
+_FORMAT = "scval-dataset-v2"
+_MANIFEST_KEYS = ("format", "mode", "seed", "n_entries", "amplitude", "temperature")
+_KINDS = {"H": "hamiltonian", "D": "density", "S": "overlap"}
+_LABELS = {"e_total": float, "gap": float, "strict_diis": float,
+           "iterations": int, "converged": int}
+
+
+def _write_stack(path: Path, frames, stacks: dict) -> None:
+    """Write (geometry, comment extras) frames and {kind: (m, n, n)} stacks."""
+    path.mkdir(parents=True, exist_ok=True)
+    with open(path / _FRAMES, "w") as fh:
+        fh.writelines(model.format_xyz_frame(g, extra) for g, extra in frames)
+    for kind, mats in stacks.items():
+        matcore.write_scvm(path / f"{kind}.scvm", np.concatenate(mats))
+
+
+def _read_stack(path, kinds) -> tuple:
+    """(frames of geometries.xyz, {kind: (m, n, n) stack of <kind>.scvm}).
+
+    Every file must exist, every frame must have n atoms, and every
+    stack must be exactly (m*n, n).
+    """
+    path = Path(path)
+    for name in (_FRAMES, *(f"{kind}.scvm" for kind in kinds)):
+        if not (path / name).is_file():
+            raise FileFormatError(f"{path}: missing {name}")
+    text = (path / _FRAMES).read_text()
+    frames = model.parse_xyz_frames(text, path=str(path / _FRAMES))
+    m, n = len(frames), frames[0][0].n_atoms
+    if any(g.n_atoms != n for g, _ in frames):
+        raise FileFormatError(f"{path / _FRAMES}: frames differ in atom count")
+    stacks = {}
+    for kind in kinds:
+        mats = matcore.read_scvm(path / f"{kind}.scvm")
+        if mats.shape != (m * n, n):
+            raise FileFormatError(
+                f"{path / kind}.scvm: shape {mats.shape}, expected {(m * n, n)}"
+            )
+        stacks[kind] = mats.reshape(m, n, n)
+    return frames, stacks
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` as one v2 bundle (layout above) in directory ``path``."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, entry in enumerate(ds.entries):
-        name = f"{i:04d}"
-        sub = path / name
-        sub.mkdir(exist_ok=True)
-        model.dump_geometry(sub / "geometry.xyz", entry.geometry)
-        sol = entry.solution
-        matcore.write_scvm(sub / "H.scvm", sol.hamiltonian)
-        matcore.write_scvm(sub / "D.scvm", sol.density)
-        matcore.write_scvm(sub / "S.scvm", sol.overlap)
-        with open(sub / "meta", "w") as fh:
-            fh.write(f"e_total = {sol.e_total:.17g}\n")
-            fh.write(f"gap = {sol.gap:.17g}\n")
-            fh.write(f"strict_diis = {sol.strict_diis:.17g}\n")
-            fh.write(f"iterations = {sol.iterations}\n")
-            fh.write(f"converged = {int(sol.converged)}\n")
-        names.append(name)
-    with open(path / _MANIFEST, "w") as fh:
-        fh.write("format = scval-dataset-v1\n")
-        for key in ("mode", "seed", "n_entries", "amplitude", "temperature"):
-            if key in ds.metadata:
-                fh.write(f"{key} = {model._fmt_value(ds.metadata[key])}\n")
-        for name in names:
-            fh.write(f"entry = {name}\n")
+    sols = [e.solution for e in ds.entries]
+    labels = [{k: f(getattr(sol, k)) for k, f in _LABELS.items()} for sol in sols]
+    stacks = {k: [getattr(sol, name) for sol in sols] for k, name in _KINDS.items()}
+    _write_stack(path, zip((e.geometry for e in ds.entries), labels), stacks)
+    meta = {**ds.metadata, "format": _FORMAT, "n_entries": len(ds)}
+    lines = [f"{k} = {model._fmt_value(meta[k])}" for k in _MANIFEST_KEYS if k in meta]
+    (path / _MANIFEST).write_text("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Dataset:
-    """Rebuild a dataset from its files.
+    """Rebuild a dataset from the v2 bundle that :func:`save_dataset` wrote.
 
-    No eigensolve runs here: a loaded solution solves (H, S) for its
-    ``coeffs`` and ``energies`` only when they are first read.
+    A v1 manifest, a missing file, a misshapen stack, a frame count other
+    than ``n_entries`` or a missing label raises ``FileFormatError``.  No
+    eigensolve runs: ``coeffs`` and ``energies`` are solved on first read.
     """
     path = Path(path)
-    manifest_path = path / _MANIFEST
-    if not manifest_path.exists():
+    if not (path / _MANIFEST).is_file():
         raise FileFormatError(f"{path}: no {_MANIFEST}")
-    names = []
-    metadata = {}
-    with open(manifest_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "entry":
-                names.append(value)
-            else:
-                metadata[key] = model._parse_scalar(value)
-    if not names:
-        raise EmptyDataset(f"{path}: manifest lists no entries")
-    entries = []
-    for name in names:
-        sub = path / name
-        g = model.load_geometry(sub / "geometry.xyz")
-        h = matcore.read_scvm(sub / "H.scvm")
-        d = matcore.read_scvm(sub / "D.scvm")
-        s = matcore.read_scvm(sub / "S.scvm")
-        meta = model.read_config(sub / "meta")
-        sol = model.ScfSolution(
-            hamiltonian=h,
-            density=d,
-            overlap=s,
-            e_total=float(meta["e_total"]),
-            gap=float(meta["gap"]),
-            strict_diis=float(meta["strict_diis"]),
-            iterations=int(meta["iterations"]),
-            converged=bool(int(meta["converged"])),
+    metadata = model.read_config(path / _MANIFEST)
+    if metadata.get("format") != _FORMAT:
+        raise FileFormatError(
+            f"{path}: format is not {_FORMAT}; regenerate it with `scval gen`"
         )
+    frames, stacks = _read_stack(path, _KINDS)
+    if metadata.get("n_entries") != len(frames):
+        raise FileFormatError(
+            f"{path}: {len(frames)} frames, n_entries = {metadata.get('n_entries')}"
+        )
+    entries = []
+    for i, (g, meta) in enumerate(frames):
+        try:
+            labels = {k: parse(meta[k]) for k, parse in _LABELS.items()}
+        except KeyError as exc:
+            raise FileFormatError(f"{path / _FRAMES}: frame {i} lacks {exc}")
+        except ValueError as exc:
+            raise FileFormatError(f"{path / _FRAMES}: frame {i}: {exc}")
+        labels["converged"] = bool(labels["converged"])
+        mats = {name: stacks[k][i] for k, name in _KINDS.items()}
+        sol = model.ScfSolution(**mats, **labels)
         entries.append(DatasetEntry(g, sol))
     return Dataset(entries=entries, metadata=metadata)

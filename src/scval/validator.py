@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "full_report",
     "self_diis_position_gradient",
     "scf_predictor",
-    "read_prediction_dir",
     "write_reports_csv",
     "read_reports_csv",
 ]
@@ -193,28 +191,6 @@ def scf_predictor(p: model.ModelParams, cfg=None) -> Callable:
 # Disk formats.
 
 
-def read_prediction_dir(path):
-    """Load one externally produced bundle.
-
-    Expects geometry.xyz, H.scvm, D.scvm and S.scvm in ``path``; returns
-    (geometry, prediction, overlap).
-    """
-    path = Path(path)
-    for name in ("geometry.xyz", "H.scvm", "D.scvm", "S.scvm"):
-        if not (path / name).exists():
-            raise FileFormatError(f"{path}: missing {name}")
-    g = model.load_geometry(path / "geometry.xyz")
-    h = matcore.read_scvm(path / "H.scvm")
-    d = matcore.read_scvm(path / "D.scvm")
-    s = matcore.validate_symmetric(matcore.read_scvm(path / "S.scvm"), "S")
-    pred = Prediction(h_pred=h, d_pred=d, source="external-file")
-    if h.shape[0] != g.n_atoms:
-        raise FileFormatError(
-            f"{path}: matrices are {h.shape[0]}x{h.shape[0]} for {g.n_atoms} atoms"
-        )
-    return g, pred, s
-
-
 def _fmt_field(value) -> str:
     if value is None:
         return ""
@@ -239,12 +215,16 @@ def read_reports_csv(path) -> list:
         if reader.fieldnames is None or set(REPORT_COLUMNS) - set(reader.fieldnames):
             raise FileFormatError(f"{path}: missing report columns")
         for row in reader:
-            kwargs = {"system": row["system"], "source": row["source"]}
-            for name in REPORT_COLUMNS[2:]:
-                text = row[name]
-                kwargs[name] = float(text) if text != "" else None
-            kwargs["self_diis"] = (
-                float(row["self_diis"]) if row["self_diis"] != "" else float("nan")
-            )
+            # DictReader gives a short row None values, a long one a None key.
+            if None in row or None in row.values():
+                raise FileFormatError(f"{path}:{reader.line_num}: ragged row")
+            try:
+                kwargs = {c: float(row[c]) if row[c] != "" else None
+                          for c in REPORT_COLUMNS[2:]}
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{reader.line_num}: {exc}")
+            if kwargs["self_diis"] is None:
+                kwargs["self_diis"] = float("nan")
+            kwargs.update(system=row["system"], source=row["source"])
             reports.append(DiisReport(**kwargs))
     return reports

@@ -2,11 +2,12 @@
 
 import csv
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from scval import cli, matcore, model, validator
+from scval import cli, matcore, model, scf, surrogate, validator
 from scval.systems import chain_geometry, ring_geometry
 
 
@@ -142,6 +143,62 @@ def test_sigma_sweep_feeds_stats(work, tmp_path):
     assert (st / "binned_strict_diis.csv").exists()
     plot_rows = read_rows(st / "plotdata_strict_diis.csv")
     assert len(plot_rows) == 12 * 3 * 8
+
+
+def test_stats_rejects_ragged_or_non_numeric_rows(tmp_path, capsys):
+    header = ",".join(validator.REPORT_COLUMNS)
+    width = len(validator.REPORT_COLUMNS)
+    for row in ("a,b,0.1", ",".join(["a", "b"] + ["0.1"] * (width - 1)),
+                ",".join(["a", "b", "wide"] + ["0.1"] * (width - 3))):
+        path = tmp_path / "reports.csv"
+        path.write_text(f"{header}\n{row}\n")
+        code = cli.main(["stats", "--reports", str(path),
+                         "--out", str(tmp_path / "st")])
+        assert code == 1, row
+        assert "reports.csv:2" in capsys.readouterr().err
+
+
+def _validate_external(work, pred, out):
+    return cli.main(["validate", "--dataset", str(work["ds"]),
+                     "--predictor", "external-file", "--pred", str(pred),
+                     "--out", str(out)])
+
+
+def test_external_labels_validate_to_zero_error(work, tmp_path):
+    # A dataset bundle is a prediction bundle of its own labels.
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for name in ("geometries.xyz", "H.scvm", "D.scvm"):
+        shutil.copy(work["ds"] / name, pred / name)
+    assert _validate_external(work, pred, tmp_path / "val") == 0
+    reports = validator.read_reports_csv(tmp_path / "val" / "reports.csv")
+    assert [r.system for r in reports] == [f"{i:04d}" for i in range(12)]
+    for r in reports:
+        assert r.source == "external-file"
+        assert r.mae_h == 0.0
+        assert r.mae_d == 0.0
+        assert r.self_diis <= scf.ScfConfig().tol
+
+
+@pytest.mark.parametrize("case", ["one frame too few", "one atom moved"])
+def test_external_bundle_must_match_dataset(work, tmp_path, capsys, case):
+    entries = surrogate.load_dataset(work["ds"]).entries
+    geometries = [e.geometry for e in entries]
+    if case == "one frame too few":
+        entries, geometries = entries[:-1], geometries[:-1]
+        message = "11 frames for 12 entries"
+    else:
+        pos = geometries[5].positions.copy()
+        pos[2, 1] += 0.01
+        geometries[5] = geometries[5].with_positions(pos)
+        message = "frame 5 is not the geometry of entry 5"
+    surrogate._write_stack(tmp_path / "pred", [(g, None) for g in geometries], {
+        "H": [e.solution.hamiltonian for e in entries],
+        "D": [e.solution.density for e in entries],
+    })
+    assert _validate_external(work, tmp_path / "pred", tmp_path / "val") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "val" / "reports.csv").exists()
 
 
 def test_validate_builds_geometry_terms_once_per_entry(work, tmp_path,

@@ -1,11 +1,14 @@
 """Noisy-oracle and kernel predictors plus dataset generation/storage."""
 
+import builtins
+import io
 import math
+import re
 
 import numpy as np
 import pytest
 
-from scval import model, scf, surrogate, validator
+from scval import cli, matcore, model, scf, surrogate, validator
 from scval.errors import (
     EmptyDataset,
     FileFormatError,
@@ -334,9 +337,108 @@ def test_manifest_format_line(tmp_path):
     ds = surrogate.generate_dataset(chain(1.4), P, 2, amplitude=0.02, seed=1)
     surrogate.save_dataset(ds, tmp_path / "ds")
     first = (tmp_path / "ds" / "manifest.txt").read_text().splitlines()[0]
-    assert first == "format = scval-dataset-v1"
+    assert first == "format = scval-dataset-v2"
 
 
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(FileFormatError):
         surrogate.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("mode", ["random_perturb", "md_sample"])
+def test_bundle_roundtrip_is_bit_exact(tmp_path, mode):
+    ds = surrogate.generate_dataset(
+        chain(1.4), P, 6, mode=mode, amplitude=0.05, seed=2,
+        md_stride=5, md_burnin=50,
+    )
+    surrogate.save_dataset(ds, tmp_path / "ds")
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+        "D.scvm", "H.scvm", "S.scvm", "geometries.xyz", "manifest.txt"
+    ]
+    back = surrogate.load_dataset(tmp_path / "ds")
+    assert back.metadata["n_entries"] == 6
+    for orig, loaded in zip(ds.entries, back.entries, strict=True):
+        np.testing.assert_array_equal(loaded.geometry.positions,
+                                      orig.geometry.positions)
+        for name in ("hamiltonian", "density", "overlap", "e_total", "gap",
+                     "strict_diis", "iterations", "converged"):
+            np.testing.assert_array_equal(getattr(loaded.solution, name),
+                                          getattr(orig.solution, name), name)
+        assert type(loaded.solution.converged) is bool
+
+
+def test_load_opens_a_fixed_number_of_files(tmp_path, monkeypatch):
+    # One manifest, one frame file and one stack per matrix kind, however
+    # many entries the dataset holds.
+    one = entry(chain(1.4))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    counts = []
+    for m in (2, 40):
+        surrogate.save_dataset(Dataset(entries=[one] * m), tmp_path / str(m))
+        opened.clear()
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)  # pathlib's read_text
+        assert len(surrogate.load_dataset(tmp_path / str(m))) == m
+        monkeypatch.undo()
+        counts.append(len(opened))
+    assert counts == [5, 5], opened
+
+
+def _drop_last_row(path):
+    matcore.write_scvm(path / "H.scvm", matcore.read_scvm(path / "H.scvm")[:-1])
+
+
+def _add_column(path):
+    d = matcore.read_scvm(path / "D.scvm")
+    matcore.write_scvm(path / "D.scvm", np.hstack([d, np.zeros((len(d), 1))]))
+
+
+def _edit(name, pattern, repl):
+    def corrupt(path):
+        text = (path / name).read_text()
+        (path / name).write_text(re.sub(pattern, repl, text, count=1))
+
+    return corrupt
+
+
+_HOSTILE = {
+    "stack rows": (_drop_last_row, "H.scvm: shape"),
+    "stack columns": (_add_column, "D.scvm: shape"),
+    "frame count": (_edit("manifest.txt", r"n_entries = 3", "n_entries = 4"),
+                    "n_entries"),
+    "missing e_total": (_edit("geometries.xyz", r"e_total=\S+ ", ""),
+                        "frame 0 lacks 'e_total'"),
+    "non-numeric gap": (_edit("geometries.xyz", r"gap=\S+", "gap=wide"),
+                        "frame 0: could not convert string to float: 'wide'"),
+    "v1 manifest": (_edit("manifest.txt", "v2", "v1"), "regenerate it with `scval gen`"),
+    "missing S": (lambda path: (path / "S.scvm").unlink(), "missing S.scvm"),
+}
+
+
+@pytest.fixture
+def bundle(tmp_path):
+    ds = surrogate.generate_dataset(chain(1.4), P, 3, amplitude=0.02, seed=5)
+    surrogate.save_dataset(ds, tmp_path / "ds")
+    return tmp_path / "ds"
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE))
+def test_hostile_bundle_raises_file_format_error(bundle, case):
+    corrupt, message = _HOSTILE[case]
+    corrupt(bundle)
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        surrogate.load_dataset(bundle)
+
+
+def test_hostile_bundle_exits_one(bundle, tmp_path, capsys):
+    _HOSTILE["missing e_total"][0](bundle)
+    code = cli.main(["validate", "--dataset", str(bundle),
+                     "--predictor", "oracle-noise", "--out", str(tmp_path / "v")])
+    assert code == 1
+    assert "lacks 'e_total'" in capsys.readouterr().err

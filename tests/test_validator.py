@@ -217,35 +217,46 @@ def test_scf_predictor_source_tag():
 # --- disk formats -----------------------------------------------------------------------
 
 
-def test_prediction_dir_roundtrip(tmp_path):
+def _write_prediction_bundle(path, geometries, sols):
+    surrogate._write_stack(path, [(g, None) for g in geometries], {
+        "H": [sol.hamiltonian for sol in sols],
+        "D": [sol.density for sol in sols],
+    })
+
+
+def test_prediction_bundle_roundtrip(tmp_path):
+    gs = [chain_geometry(4, spacing=r, n_electrons=4) for r in (1.4, 1.5)]
+    sols = [solved(g) for g in gs]
+    _write_prediction_bundle(tmp_path, gs, sols)
+    frames, stacks = surrogate._read_stack(tmp_path, "HD")
+    assert sorted(stacks) == ["D", "H"]
+    for (g2, _), g, sol, h, d in zip(frames, gs, sols, stacks["H"], stacks["D"],
+                                     strict=True):
+        assert g2.species == g.species
+        np.testing.assert_array_equal(g2.positions, g.positions)
+        np.testing.assert_array_equal(h, sol.hamiltonian)
+        np.testing.assert_array_equal(d, sol.density)
+
+
+def test_prediction_bundle_missing_file(tmp_path):
+    with pytest.raises(FileFormatError, match="missing geometries.xyz"):
+        surrogate._read_stack(tmp_path, "HD")
     g = chain_geometry(4, spacing=1.5, n_electrons=4)
-    sol = solved(g)
-    model.dump_geometry(tmp_path / "geometry.xyz", g)
-    matcore.write_scvm(tmp_path / "H.scvm", sol.hamiltonian)
-    matcore.write_scvm(tmp_path / "D.scvm", sol.density)
-    matcore.write_scvm(tmp_path / "S.scvm", sol.overlap)
-    g2, pred, s = validator.read_prediction_dir(tmp_path)
-    assert g2.species == g.species
-    np.testing.assert_array_equal(pred.h_pred, sol.hamiltonian)
-    np.testing.assert_array_equal(pred.d_pred, sol.density)
-    np.testing.assert_array_equal(s, sol.overlap)
-    assert pred.source == "external-file"
+    _write_prediction_bundle(tmp_path, [g], [solved(g)])
+    (tmp_path / "D.scvm").unlink()
+    with pytest.raises(FileFormatError, match="missing D.scvm"):
+        surrogate._read_stack(tmp_path, "HD")
 
 
-def test_prediction_dir_missing_file(tmp_path):
-    with pytest.raises(FileFormatError):
-        validator.read_prediction_dir(tmp_path)
-
-
-def test_prediction_dir_shape_mismatch(tmp_path):
+def test_prediction_bundle_shape_mismatch(tmp_path):
     g = chain_geometry(4, spacing=1.5, n_electrons=4)
-    sol = solved(g)
-    model.dump_geometry(tmp_path / "geometry.xyz", dimer(1.4))
-    matcore.write_scvm(tmp_path / "H.scvm", sol.hamiltonian)
-    matcore.write_scvm(tmp_path / "D.scvm", sol.density)
-    matcore.write_scvm(tmp_path / "S.scvm", sol.overlap)
-    with pytest.raises(FileFormatError):
-        validator.read_prediction_dir(tmp_path)
+    _write_prediction_bundle(tmp_path, [g], [solved(g)])
+    model.dump_geometry(tmp_path / "geometries.xyz", dimer(1.4))
+    with pytest.raises(FileFormatError, match="shape"):
+        surrogate._read_stack(tmp_path, "HD")
+    surrogate._write_stack(tmp_path, [(g, None), (dimer(1.4), None)], {})
+    with pytest.raises(FileFormatError, match="frames differ in atom count"):
+        surrogate._read_stack(tmp_path, "HD")
 
 
 def test_reports_csv_roundtrip(tmp_path):
