@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -226,7 +224,8 @@ def cmd_validate(args) -> int:
         ("validate.predictor", args.predictor),
     ]
 
-    tasks = []  # (system, callable producing a Prediction, entry index)
+    # predict(i) gives entry i's records as one stacked Prediction and
+    # their system names.
     if args.predictor == "oracle-noise":
         sigmas_h = _floats(args.sigma)
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
@@ -238,17 +237,18 @@ def cmd_validate(args) -> int:
             ("validate.repeat", args.repeat),
             ("validate.shared_noise", int(args.shared_noise)),
         ]
-        for i, entry in enumerate(ds.entries):
-            for j, (sh, sd) in enumerate(zip(sigmas_h, sigmas_d)):
-                for k in range(args.repeat):
-                    # One stream per row, whatever the evaluation order.
-                    def make(label=entry.solution, sh=sh, sd=sd, row=(i, j, k)):
-                        rng = substream(args.seed, "oracle-noise", *row)
-                        return surrogate.oracle_noise_predict(
-                            label, sh, sd, rng, shared_noise=args.shared_noise
-                        )
+        rows = [(j, k) for j in range(len(sigmas_h)) for k in range(args.repeat)]
 
-                    tasks.append((f"{i:04d}:s{j}:r{k}", make, i))
+        def predict(i):
+            # One stream per row, whatever the evaluation order.
+            pred = surrogate.oracle_noise_predict(
+                ds.entries[i].solution,
+                [sigmas_h[j] for j, _ in rows],
+                [sigmas_d[j] for j, _ in rows],
+                [substream(args.seed, "oracle-noise", i, j, k) for j, k in rows],
+                shared_noise=args.shared_noise,
+            )
+            return pred, [f"{i:04d}:s{j}:r{k}" for j, k in rows]
     elif args.predictor == "kernel":
         km, train = _kernel_from_args(args)
         extra += [
@@ -256,35 +256,33 @@ def cmd_validate(args) -> int:
             ("validate.bandwidth", km.bandwidth),
             ("validate.k", km.k_neighbors),
         ]
-        for i, entry in enumerate(ds.entries):
-            make = partial(surrogate.kernel_predict, km, entry.geometry)
-            tasks.append((f"{i:04d}", make, i))
+
+        def predict(i):
+            pred = surrogate.kernel_predict(km, ds.entries[i].geometry)
+            stack = validator.Prediction(pred.h_pred[None], pred.d_pred[None],
+                                         pred.source)
+            return stack, [f"{i:04d}"]
     elif args.predictor == "external-file":
         if not args.pred:
             raise ValueError("external-file predictor needs --pred DIR")
         extra.append(("validate.pred", args.pred))
         frames, stacks = surrogate._read_stack(args.pred, "HD")
         _check_frames_match(frames, ds, args.pred)
-        for i in range(len(ds)):
-            make = partial(validator.Prediction, stacks["H"][i], stacks["D"][i])
-            tasks.append((f"{i:04d}", make, i))
+
+        def predict(i):
+            pred = validator.Prediction(stacks["H"][i:i + 1], stacks["D"][i:i + 1])
+            return pred, [f"{i:04d}"]
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown predictor {args.predictor!r}")
 
-    # One context per entry, shared by all of the entry's records.
-    contexts = [model.Context(e.geometry, p) for e in ds.entries]
-
-    def run(task):
-        system, make, i = task
-        return validator.full_report(
-            make(), ds.entries[i].solution, contexts[i], norm=norm, system=system
+    # One stacked pass per entry, over one context of its geometry.
+    reports = []
+    for i, entry in enumerate(ds.entries):
+        pred, systems = predict(i)
+        reports += validator.full_report(
+            pred, entry.solution, model.Context(entry.geometry, p),
+            norm=norm, system=systems,
         )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, tasks))
-    else:
-        reports = [run(t) for t in tasks]
 
     out = _outdir(args)
     validator.write_reports_csv(out / "reports.csv", reports)
@@ -461,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--norm", choices=_NORMS,
                         help="residual norm (default frobenius)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads where supported (default 1)")
+                        help="accepted and ignored; every command runs "
+                             "in one thread")
     common.add_argument("--out", default=".",
                         help="output directory (default current)")
 

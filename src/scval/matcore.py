@@ -67,17 +67,25 @@ def _as_square(m, name="matrix") -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def validate_symmetric(m, name="matrix") -> np.ndarray:
-    """Check squareness, finiteness and symmetry; return the array."""
-    m = _as_square(m, name)
+    """Check squareness, finiteness and symmetry; return the array.
+
+    ``m`` is one (n, n) matrix or a (B, n, n) stack of them; each
+    matrix is held to the slack scaled by its own largest entry.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    if m.size and float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
-        raise ValueError(f"{name} is not symmetric")
+    if m.size:
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1))
+        if np.any(asym > SYMMETRY_TOL * scale):
+            raise ValueError(f"{name} is not symmetric")
     return m
 
 
@@ -174,11 +182,14 @@ def commutator_error(h, d, s) -> np.ndarray:
 
     Vanishes exactly when (H, D) share eigenvectors in the S metric,
     i.e. at an SCF fixed point; antisymmetric for symmetric inputs.
+    Each input is one (n, n) matrix or a (B, n, n) stack; matrices are
+    broadcast against stacks, so the result has one residual per record.
     """
     h = np.asarray(h, dtype=float)
     d = np.asarray(d, dtype=float)
     s = np.asarray(s, dtype=float)
-    if not (h.shape == d.shape == s.shape) or h.ndim != 2:
+    if (any(x.ndim not in (2, 3) or x.shape[-2:] != h.shape[-2:] for x in (h, d, s))
+            or len({x.shape for x in (h, d, s) if x.ndim == 3}) > 1):
         raise DimensionMismatch(
             f"shapes differ: H {h.shape}, D {d.shape}, S {s.shape}"
         )
@@ -194,13 +205,16 @@ def resolve_norm(norm: str) -> str:
         ) from None
 
 
-def error_magnitude(e, norm: str = "frobenius") -> float:
-    """Collapse a residual matrix to a scalar: Frobenius norm or mean |e_ij|."""
+def error_magnitude(e, norm: str = "frobenius"):
+    """Collapse a residual matrix to a scalar: Frobenius norm or mean |e_ij|.
+
+    A (B, n, n) stack of residuals gives B scalars.
+    """
     e = np.asarray(e, dtype=float)
     kind = resolve_norm(norm)
     if kind == "frobenius":
-        return float(np.sqrt((e * e).sum()))
-    return float(np.abs(e).mean())
+        return np.sqrt((e * e).sum(axis=(-2, -1)))
+    return np.abs(e).mean(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

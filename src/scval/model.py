@@ -167,10 +167,11 @@ def build_h0(g: Geometry, p: ModelParams) -> np.ndarray:
 
 
 def mulliken_charges(d, s) -> np.ndarray:
-    """q_i = 1/2 (DS + SD)_ii."""
+    """q_i = 1/2 (DS + SD)_ii, one row of charges per density of a stack."""
     d = np.asarray(d, dtype=float)
     s = np.asarray(s, dtype=float)
-    return 0.5 * (np.einsum("ij,ji->i", d, s) + np.einsum("ij,ji->i", s, d))
+    return 0.5 * (np.einsum("...ij,...ji->...i", d, s)
+                  + np.einsum("...ij,...ji->...i", s, d))
 
 
 def repulsion_energy(g: Geometry, p: ModelParams) -> float:
@@ -217,18 +218,22 @@ class Context:
         return repulsion_energy(self.g, self.p)
 
     def orbitals(self, h) -> tuple:
-        """Ascending levels and S-orthonormal orbitals, signs not pinned."""
+        """Ascending levels and S-orthonormal orbitals, signs not pinned.
+
+        Like every method below, it takes one matrix or a (B, n, n)
+        stack of them and returns one result per matrix.
+        """
         w, v = np.linalg.eigh(matcore.symmetrize(self.x @ h @ self.x))
         return w, self.x @ v
 
-    def electronic_energy(self, d) -> float:
+    def electronic_energy(self, d):
         """Band plus charge-fluctuation energy, no ion-ion repulsion."""
         d = np.asarray(d, dtype=float)
         dq = mulliken_charges(d, self.s) - self.q_ref
-        band = float(np.einsum("ij,ji->", d, self.h0))
-        return band + 0.5 * float((self.u * dq * dq).sum())
+        band = np.einsum("...ij,ji->...", d, self.h0)
+        return band + 0.5 * (self.u * dq * dq).sum(axis=-1)
 
-    def energy(self, d) -> float:
+    def energy(self, d):
         """Total energy E(D) = tr(D H0) + 1/2 sum U (q - qref)^2 + E_rep."""
         return self.electronic_energy(d) + self.e_rep
 
@@ -236,7 +241,7 @@ class Context:
         """H(D) = dE/dD: H0 plus the charge response 1/2 S_ij (U_i dq_i + U_j dq_j)."""
         d = np.asarray(d, dtype=float)
         udq = self.u * (mulliken_charges(d, self.s) - self.q_ref)
-        return self.h0 + 0.5 * self.s * (udq[:, None] + udq[None, :])
+        return self.h0 + 0.5 * self.s * (udq[..., :, None] + udq[..., None, :])
 
     def forces(self, d, h=None) -> np.ndarray:
         """-dE/dR (eV/A) of the total energy at the fixed density D.
@@ -306,13 +311,17 @@ class ScfSolution:
     energies = property(lambda self: self._eig.energies)
 
 
-def frontier_gap(energies, n_electrons: int) -> float:
-    """Plain eigenvalue difference between first empty and last filled level."""
+def frontier_gap(energies, n_electrons: int):
+    """Plain eigenvalue difference between first empty and last filled level.
+
+    ``energies`` is one ascending spectrum or a (B, n) stack of them.
+    """
     energies = np.asarray(energies, dtype=float)
     n_occ = n_electrons // 2
-    if n_occ >= energies.shape[0]:
-        return 0.0
-    return float(energies[n_occ] - energies[n_occ - 1])
+    if n_occ >= energies.shape[-1]:
+        # [()] makes the gap of one spectrum a scalar, as below.
+        return np.zeros(energies.shape[:-1])[()]
+    return energies[..., n_occ] - energies[..., n_occ - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +381,29 @@ def parse_xyz_frames(text: str, path="<string>") -> list:
         meta = _parse_comment(lines[i + 1])
         if "n_electrons" not in meta:
             raise FileFormatError(f"{path}: comment line lacks n_electrons")
+        try:
+            n_electrons = int(meta["n_electrons"])
+        except ValueError:
+            raise FileFormatError(
+                f"{path}:{i + 2}: n_electrons={meta['n_electrons']!r} is not an integer"
+            ) from None
         species, coords = [], []
-        for row in lines[i + 2 : i + 2 + n]:
+        for lineno, row in enumerate(lines[i + 2 : i + 2 + n], start=i + 3):
             parts = row.split()
             if len(parts) < 4:
                 raise FileFormatError(f"{path}: bad atom line {row!r}")
             species.append(parts[0])
-            coords.append([float(v) for v in parts[1:4]])
-        frames.append(
-            (Geometry(species, np.array(coords), int(meta["n_electrons"])), meta)
-        )
+            try:
+                coords.append([float(v) for v in parts[1:4]])
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}:{lineno}: non-numeric coordinate in {row!r}"
+                ) from None
+        try:
+            g = Geometry(species, np.array(coords), n_electrons)
+        except InvalidGeometry as exc:
+            raise FileFormatError(f"{path}: frame {len(frames)}: {exc}") from None
+        frames.append((g, meta))
         i += 2 + n
     if not frames:
         raise FileFormatError(f"{path}: no frames found")

@@ -180,31 +180,34 @@ def generate_dataset(
     return Dataset(entries=entries, metadata=metadata)
 
 
-def _symmetric_noise(rng: np.random.Generator, n: int) -> np.ndarray:
-    return matcore.symmetrize(rng.standard_normal((n, n)))
-
-
 def oracle_noise_predict(
     label: model.ScfSolution,
-    sigma_h: float,
-    sigma_d: float,
-    rng: np.random.Generator,
+    sigma_h,
+    sigma_d,
+    rngs,
     shared_noise: bool = False,
 ) -> Prediction:
-    """Label plus symmetric Gaussian noise drawn from ``rng``.
+    """Label plus symmetric Gaussian noise: one stacked row per generator.
 
-    With ``shared_noise`` both matrices reuse one draw (scaled by their
-    sigmas), modeling a predictor whose H and D errors are correlated;
-    the default draws independently.
+    Row b of the (B, n, n) stack draws its H noise and then its D noise
+    from ``rngs[b]`` alone, so a row's draws do not depend on the other
+    rows.  ``sigma_h`` and ``sigma_d`` are one amplitude for every row or
+    one per row.  With ``shared_noise`` both matrices reuse one draw
+    (scaled by their sigmas), modeling a predictor whose H and D errors
+    are correlated; the default draws independently.
     """
-    if sigma_h < 0 or sigma_d < 0:
-        raise ValueError("noise amplitudes must be non-negative")
     n = label.hamiltonian.shape[0]
-    noise_h = _symmetric_noise(rng, n)
-    noise_d = noise_h if shared_noise else _symmetric_noise(rng, n)
+    sigma_h = np.broadcast_to(np.asarray(sigma_h, float), len(rngs))[:, None, None]
+    sigma_d = np.broadcast_to(np.asarray(sigma_d, float), len(rngs))[:, None, None]
+    if (sigma_h < 0).any() or (sigma_d < 0).any():
+        raise ValueError("noise amplitudes must be non-negative")
+    draws = 1 if shared_noise else 2
+    noise = matcore.symmetrize(
+        np.stack([rng.standard_normal((draws, n, n)) for rng in rngs])
+    )
     return Prediction(
-        h_pred=label.hamiltonian + sigma_h * noise_h,
-        d_pred=label.density + sigma_d * noise_d,
+        h_pred=label.hamiltonian + sigma_h * noise[:, 0],
+        d_pred=label.density + sigma_d * noise[:, -1],
         source="oracle-noise",
     )
 
@@ -231,11 +234,22 @@ class KernelModel:
     k_neighbors: int
 
 
+# Rows of the distance matrix computed per block: memory O(chunk * m * P)
+# rather than one (m, m, P) difference tensor.
+_DISTANCE_CHUNK = 64
+
+
 def _descriptor_distances(desc: np.ndarray) -> np.ndarray:
-    """(m, m) Euclidean distances between the rows of ``desc``."""
-    return np.sqrt(
-        np.maximum(((desc[:, None, :] - desc[None, :, :]) ** 2).sum(-1), 0.0)
-    )
+    """(m, m) Euclidean distances between the rows of ``desc``.
+
+    Exact row differences, a block of rows at a time; each entry is the
+    same sum as in one full (m, m, P) tensor.
+    """
+    out = np.empty((len(desc), len(desc)))
+    for start in range(0, len(desc), _DISTANCE_CHUNK):
+        block = desc[start:start + _DISTANCE_CHUNK, None, :] - desc[None, :, :]
+        out[start:start + len(block)] = np.sqrt((block**2).sum(-1))
+    return out
 
 
 def kernel_fit(

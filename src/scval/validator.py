@@ -12,12 +12,19 @@ only meaningful when H and D are predicted independently; the full report
 therefore also carries the strict residual (Hamiltonian rebuilt from the
 predicted density through the model functional) and cross residuals that
 pair predicted with labeled matrices.
+
+Every check works on a stack: a :class:`Prediction` may hold B pairs on
+one geometry as (B, n, n) arrays, and :func:`full_report` scores them in
+one pass over that geometry's :class:`model.Context`, so the per-record
+cost is a few batched numpy calls rather than dozens of small ones.  A
+single pair is a stack of one and goes through the same arithmetic.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +51,8 @@ __all__ = [
 class Prediction:
     """Predicted Hamiltonian/density pair plus a provenance tag.
 
+    ``h_pred`` and ``d_pred`` are one (n, n) pair or a (B, n, n) stack of
+    B pairs from one source, each matrix checked for symmetry on its own.
     Canonical sources are "oracle-noise", "kernel" and "external-file".
     """
 
@@ -87,16 +96,17 @@ class DiisReport:
 REPORT_COLUMNS = tuple(f.name for f in fields(DiisReport))
 
 
-def matrix_mae(a, b) -> float:
+def matrix_mae(a, b):
+    """Mean |a_ij - b_ij|; one value per matrix when ``a`` is a stack."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise matcore.DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.abs(a - b).mean())
+    return np.abs(a - b).mean(axis=(-2, -1))
 
 
-def self_diis(pred: Prediction, s, norm: str = "frobenius") -> float:
-    """Magnitude of H_pred D_pred S - S D_pred H_pred."""
+def self_diis(pred: Prediction, s, norm: str = "frobenius"):
+    """Magnitude of H_pred D_pred S - S D_pred H_pred, one per pair of a stack."""
     e = matcore.commutator_error(pred.h_pred, pred.d_pred, s)
     return matcore.error_magnitude(e, norm)
 
@@ -115,36 +125,44 @@ def full_report(
     label: model.ScfSolution,
     ctx: model.Context,
     norm: str = "frobenius",
-    system: str = "",
-) -> DiisReport:
-    """Compare a prediction against a labeled solve on the same geometry.
+    system="",
+):
+    """Compare predictions against a labeled solve on the same geometry.
 
-    ``ctx`` is the :class:`model.Context` of that geometry; every
-    record on it can share one.
+    ``ctx`` is the :class:`model.Context` of that geometry.  ``pred``
+    holds one (n, n) pair, scored into one :class:`DiisReport` named
+    ``system``, or a (B, n, n) stack of pairs, scored in one pass into
+    a list of B reports named by the B strings of ``system``.  One pair
+    is a stack of one, so both give the same numbers.
     """
-    h_from_d = ctx.effective_hamiltonian(pred.d_pred)
-    strict = matcore.error_magnitude(
-        matcore.commutator_error(h_from_d, pred.d_pred, ctx.s), norm
-    )
-    mixed_hd = matcore.error_magnitude(
-        matcore.commutator_error(label.hamiltonian, pred.d_pred, ctx.s), norm
-    )
-    mixed_dh = matcore.error_magnitude(
-        matcore.commutator_error(pred.h_pred, label.density, ctx.s), norm
-    )
-    gap_pred = model.frontier_gap(ctx.orbitals(pred.h_pred)[0], ctx.g.n_electrons)
-    return DiisReport(
-        system=str(system),
-        source=pred.source,
-        self_diis=self_diis(pred, ctx.s, norm),
-        strict_diis=strict,
-        mixed_hd=mixed_hd,
-        mixed_dh=mixed_dh,
-        mae_h=matrix_mae(pred.h_pred, label.hamiltonian),
-        mae_d=matrix_mae(pred.d_pred, label.density),
-        d_e_total=abs(ctx.energy(pred.d_pred) - label.e_total),
-        d_gap=abs(gap_pred - label.gap),
-    )
+    stacked = pred.h_pred.ndim == 3
+    systems = list(system) if stacked else [system]
+    n = pred.h_pred.shape[-1]
+    h = pred.h_pred.reshape(-1, n, n)
+    d = pred.d_pred.reshape(-1, n, n)
+    if len(systems) != len(h):
+        raise ValueError(f"{len(systems)} system names for {len(h)} predictions")
+    mag = partial(matcore.error_magnitude, norm=norm)
+    values = {
+        "self_diis": mag(matcore.commutator_error(h, d, ctx.s)),
+        "strict_diis": mag(
+            matcore.commutator_error(ctx.effective_hamiltonian(d), d, ctx.s)
+        ),
+        "mixed_hd": mag(matcore.commutator_error(label.hamiltonian, d, ctx.s)),
+        "mixed_dh": mag(matcore.commutator_error(h, label.density, ctx.s)),
+        "mae_h": matrix_mae(h, label.hamiltonian),
+        "mae_d": matrix_mae(d, label.density),
+        "d_e_total": np.abs(ctx.energy(d) - label.e_total),
+        "d_gap": np.abs(
+            model.frontier_gap(ctx.orbitals(h)[0], ctx.g.n_electrons) - label.gap
+        ),
+    }
+    reports = [
+        DiisReport(system=str(name), source=pred.source,
+                   **{k: float(v[b]) for k, v in values.items()})
+        for b, name in enumerate(systems)
+    ]
+    return reports if stacked else reports[0]
 
 
 def self_diis_position_gradient(

@@ -68,13 +68,11 @@ def noise_sweep():
     ctx = model.Context(g, P)
     reports = []
     for si, sigma in enumerate(np.logspace(-4, -2, 9)):
-        for k in range(200):
-            pred = surrogate.oracle_noise_predict(
-                label, sigma, sigma, substream(100000 + 1000 * si + k, "oracle-noise")
-            )
-            reports.append(
-                validator.full_report(pred, label, ctx, system=f"s{si}:r{k}")
-            )
+        rngs = [substream(100000 + 1000 * si + k, "oracle-noise") for k in range(200)]
+        pred = surrogate.oracle_noise_predict(label, sigma, sigma, rngs)
+        reports += validator.full_report(
+            pred, label, ctx, system=[f"s{si}:r{k}" for k in range(200)]
+        )
     return g, label, reports
 
 

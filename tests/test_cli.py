@@ -204,8 +204,9 @@ def test_external_bundle_must_match_dataset(work, tmp_path, capsys, case):
 def test_validate_builds_geometry_terms_once_per_entry(work, tmp_path,
                                                       monkeypatch):
     # All records of an entry share its geometry, so X = S^-1/2 and H0
-    # are built once per entry, not once per record.
-    calls = {"loewdin_inverse_sqrt": 0, "build_h0": 0}
+    # are built once per entry, not once per record, and the entry's
+    # records are scored in one stacked full_report call.
+    calls = {"loewdin_inverse_sqrt": 0, "build_h0": 0, "full_report": 0}
 
     def counting(mod, name):
         real = getattr(mod, name)
@@ -218,13 +219,27 @@ def test_validate_builds_geometry_terms_once_per_entry(work, tmp_path,
 
     counting(matcore, "loewdin_inverse_sqrt")
     counting(model, "build_h0")
+    counting(validator, "full_report")
     code = cli.main(["validate", "--dataset", str(work["ds"]),
                      "--predictor", "oracle-noise",
                      "--sigma", "0.001,0.01", "--repeat", "3",
                      "--out", str(tmp_path)])
     assert code == 0
     assert len(read_rows(tmp_path / "reports.csv")) == 12 * 2 * 3
-    assert calls == {"loewdin_inverse_sqrt": 12, "build_h0": 12}
+    assert calls == {"loewdin_inverse_sqrt": 12, "build_h0": 12, "full_report": 12}
+
+
+def test_atoms_too_close_in_bundle_exits_one(work, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(work["ds"], ds)
+    lines = (ds / "geometries.xyz").read_text().splitlines(keepends=True)
+    lines[3] = lines[2]  # frame 0: atom 0 copied over atom 1
+    (ds / "geometries.xyz").write_text("".join(lines))
+    code = cli.main(["validate", "--dataset", str(ds),
+                     "--predictor", "oracle-noise", "--out", str(tmp_path / "v")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{ds / 'geometries.xyz'}: frame 0: atoms closer than r_min" in err
 
 
 def test_validate_output_independent_of_jobs(work, tmp_path):

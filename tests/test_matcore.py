@@ -278,6 +278,18 @@ def test_validate_symmetric():
         matcore.validate_symmetric(np.zeros((2, 3)))
 
 
+def test_validate_symmetric_scales_each_matrix_of_a_stack():
+    big = np.diag([1e6, 1.0])
+    big[0, 1] = 1e-7  # within its own slack of 1e-12 * 1e6
+    small = np.eye(2)
+    small[0, 1] = 1e-9  # beyond its slack of 1e-12, within big's
+    matcore.validate_symmetric(np.stack([big, np.eye(2)]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        matcore.validate_symmetric(np.stack([big, small]))
+    with pytest.raises(DimensionMismatch):
+        matcore.validate_symmetric(np.zeros((2, 2, 3)))
+
+
 # --- scvm file format ---------------------------------------------------------
 
 

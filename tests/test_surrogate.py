@@ -4,6 +4,7 @@ import builtins
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,17 +40,17 @@ def entry(g):
 
 def test_zero_sigma_returns_label():
     label = scf.scf_solve(chain(1.4), P)
-    pred = surrogate.oracle_noise_predict(label, 0.0, 0.0, noise_rng(1))
-    np.testing.assert_array_equal(pred.h_pred, label.hamiltonian)
-    np.testing.assert_array_equal(pred.d_pred, label.density)
+    pred = surrogate.oracle_noise_predict(label, 0.0, 0.0, [noise_rng(1)])
+    np.testing.assert_array_equal(pred.h_pred, [label.hamiltonian])
+    np.testing.assert_array_equal(pred.d_pred, [label.density])
     assert pred.source == "oracle-noise"
 
 
 def test_noise_is_seeded():
     label = scf.scf_solve(chain(1.4), P)
-    a = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, noise_rng(4))
-    b = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, noise_rng(4))
-    c = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, noise_rng(5))
+    a = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, [noise_rng(4)])
+    b = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, [noise_rng(4)])
+    c = surrogate.oracle_noise_predict(label, 1e-3, 1e-3, [noise_rng(5)])
     np.testing.assert_array_equal(a.h_pred, b.h_pred)
     np.testing.assert_array_equal(a.d_pred, b.d_pred)
     assert np.abs(a.h_pred - c.h_pred).max() > 0
@@ -61,13 +62,9 @@ def test_noise_mae_matches_halfnormal_mean():
     label = scf.scf_solve(chain(1.4), P)
     n = label.hamiltonian.shape[0]
     sigma = 1e-3
-    maes = [
-        np.abs(
-            surrogate.oracle_noise_predict(label, sigma, 0.0, noise_rng(s)).h_pred
-            - label.hamiltonian
-        ).mean()
-        for s in range(1000)
-    ]
+    rngs = [noise_rng(s) for s in range(1000)]
+    pred = surrogate.oracle_noise_predict(label, sigma, 0.0, rngs)
+    maes = np.abs(pred.h_pred - label.hamiltonian).mean(axis=(1, 2))
     expected = sigma * math.sqrt(2 / math.pi) * (n + (n * n - n) / math.sqrt(2)) / n**2
     assert np.mean(maes) == pytest.approx(expected, rel=0.2)
 
@@ -75,19 +72,19 @@ def test_noise_mae_matches_halfnormal_mean():
 def test_shared_noise_correlates_h_and_d():
     label = scf.scf_solve(chain(1.4), P)
     pred = surrogate.oracle_noise_predict(
-        label, 1e-3, 1e-2, noise_rng(9), shared_noise=True
+        label, 1e-3, 1e-2, [noise_rng(9)], shared_noise=True
     )
     dh = (pred.h_pred - label.hamiltonian) / 1e-3
     dd = (pred.d_pred - label.density) / 1e-2
     np.testing.assert_allclose(dh, dd, atol=1e-12)
-    indep = surrogate.oracle_noise_predict(label, 1e-3, 1e-2, noise_rng(9))
+    indep = surrogate.oracle_noise_predict(label, 1e-3, 1e-2, [noise_rng(9)])
     assert np.abs(indep.d_pred - label.density - 1e-2 * dh).max() > 1e-4
 
 
 def test_negative_sigma_rejected():
     label = scf.scf_solve(chain(1.4), P)
     with pytest.raises(ValueError):
-        surrogate.oracle_noise_predict(label, -1e-3, 0.0, noise_rng(0))
+        surrogate.oracle_noise_predict(label, -1e-3, 0.0, [noise_rng(0)])
 
 
 # --- dataset generation ----------------------------------------------------------
@@ -292,6 +289,27 @@ def test_leave_one_out_reports_finite_errors():
         assert (values > 0).all()
 
 
+def test_descriptor_distances_match_the_full_tensor():
+    # 150 rows span two full blocks and a partial one; every entry must be
+    # the same sum as in the one-tensor form, bit for bit.
+    desc = np.random.default_rng(3).standard_normal((150, 15))
+    full = np.sqrt(((desc[:, None, :] - desc[None, :, :]) ** 2).sum(-1))
+    np.testing.assert_array_equal(surrogate._descriptor_distances(desc), full)
+
+
+def test_descriptor_distances_memory_is_bounded():
+    # One (2000, 2000, 15) float64 difference tensor is 480 MB; the blocked
+    # form holds the (2000, 2000) result plus one block at a time.
+    desc = np.random.default_rng(4).standard_normal((2000, 15))
+    tracemalloc.start()
+    try:
+        surrogate._descriptor_distances(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120e6, f"peak {peak / 1e6:.0f} MB"
+
+
 def test_leave_one_out_needs_two_entries():
     with pytest.raises(EmptyDataset):
         surrogate.kernel_loo(Dataset(entries=[entry(chain(1.4))]))
@@ -442,3 +460,23 @@ def test_hostile_bundle_exits_one(bundle, tmp_path, capsys):
                      "--predictor", "oracle-noise", "--out", str(tmp_path / "v")])
     assert code == 1
     assert "lacks 'e_total'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loader", ["load_geometry", "load_dataset"])
+@pytest.mark.parametrize("field", ["coordinate", "n_electrons"])
+def test_non_numeric_field_names_path_and_line(bundle, field, loader):
+    # In frame 0, n_electrons sits on line 2 and atom 1 on line 4.
+    xyz = bundle / "geometries.xyz"
+    lines = xyz.read_text().splitlines(keepends=True)
+    if field == "coordinate":
+        line = 4
+        lines[3] = lines[3].rsplit(" ", 1)[0] + " zz\n"
+    else:
+        line = 2
+        lines[1] = re.sub(r"n_electrons=\d+", "n_electrons=four", lines[1])
+    xyz.write_text("".join(lines))
+    with pytest.raises(FileFormatError, match=re.escape(f"{xyz}:{line}: ")):
+        if loader == "load_geometry":
+            model.load_geometry(xyz)
+        else:
+            surrogate.load_dataset(bundle)

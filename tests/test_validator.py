@@ -1,9 +1,12 @@
 """Residual reports: self/strict/mixed errors, gradients, disk formats."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scval import matcore, model, scf, surrogate, validator
 from scval.errors import FileFormatError
@@ -72,6 +75,13 @@ def test_prediction_validation():
         validator.Prediction(np.eye(2), np.eye(3))
 
 
+def test_prediction_rejects_one_asymmetric_matrix_in_a_stack():
+    h = np.stack([np.eye(3)] * 4)
+    h[2, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="h_pred is not symmetric"):
+        validator.Prediction(h, np.stack([np.eye(3)] * 4))
+
+
 # --- full_report -------------------------------------------------------------------
 
 
@@ -109,32 +119,23 @@ def test_self_diis_monotone_in_noise():
     sol = solved(g)
     means = []
     for sigma in (1e-4, 1e-3, 1e-2):
-        vals = [
-            validator.self_diis(
-                surrogate.oracle_noise_predict(sol, sigma, sigma, noise_rng(k)),
-                sol.overlap,
-            )
-            for k in range(100)
-        ]
-        means.append(np.mean(vals))
+        rngs = [noise_rng(k) for k in range(100)]
+        pred = surrogate.oracle_noise_predict(sol, sigma, sigma, rngs)
+        means.append(np.mean(validator.self_diis(pred, sol.overlap)))
     assert means[0] < means[1] < means[2]
 
 
 def test_self_diis_tracks_noise_scale():
     g = chain_geometry(5, spacing=1.5, n_electrons=4)
     sol = solved(g)
-    small = np.mean([
-        validator.self_diis(
-            surrogate.oracle_noise_predict(sol, 1e-5, 1e-5, noise_rng(k)), sol.overlap
-        )
-        for k in range(50)
-    ])
-    big = np.mean([
-        validator.self_diis(
-            surrogate.oracle_noise_predict(sol, 1e-3, 1e-3, noise_rng(k)), sol.overlap
-        )
-        for k in range(50)
-    ])
+    rngs = [noise_rng(k) for k in range(50)]
+    small = np.mean(validator.self_diis(
+        surrogate.oracle_noise_predict(sol, 1e-5, 1e-5, rngs), sol.overlap
+    ))
+    rngs = [noise_rng(k) for k in range(50)]
+    big = np.mean(validator.self_diis(
+        surrogate.oracle_noise_predict(sol, 1e-3, 1e-3, rngs), sol.overlap
+    ))
     assert 10.0 < big / small < 1000.0
 
 
@@ -154,6 +155,47 @@ def test_false_negative_diagonalized_wrong_hamiltonian():
     scale = max(1.0, np.linalg.norm(wrong) * np.linalg.norm(sol.overlap))
     assert rep.self_diis <= 1e-9 * scale
     assert rep.mae_h > 0.1
+
+
+@functools.cache
+def _chain_label():
+    g = chain_geometry(5, spacing=1.5, n_electrons=4)
+    return g, solved(g)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    sigmas=st.lists(st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1)),
+                    min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    shared=st.booleans(),
+    norm=st.sampled_from(["frobenius", "mae"]),
+)
+def test_stacked_report_equals_separate_reports(sigmas, seed, shared, norm):
+    # One pass over B noisy rows gives, bit for bit, the reports of B
+    # single-record calls on rows drawn from the same streams.
+    g, label = _chain_label()
+    ctx = model.Context(g, P)
+    sigma_h, sigma_d = zip(*sigmas)
+    rows = range(len(sigmas))
+    stacked = surrogate.oracle_noise_predict(
+        label, sigma_h, sigma_d,
+        [substream(seed, "oracle-noise", b) for b in rows], shared_noise=shared,
+    )
+    reports = validator.full_report(stacked, label, ctx, norm=norm,
+                                    system=[f"r{b}" for b in rows])
+    assert len(reports) == len(sigmas)
+    for b in rows:
+        one = surrogate.oracle_noise_predict(
+            label, sigma_h[b], sigma_d[b], [substream(seed, "oracle-noise", b)],
+            shared_noise=shared,
+        )
+        single = validator.full_report(
+            validator.Prediction(one.h_pred[0], one.d_pred[0], one.source),
+            label, model.Context(g, P), norm=norm, system=f"r{b}",
+        )
+        # repr tells every float apart, -0.0 from 0.0 included.
+        assert repr(single) == repr(reports[b])
 
 
 # --- position gradient ---------------------------------------------------------------
