@@ -207,13 +207,17 @@ def _kernel_from_args(args):
 
 def _check_frames_match(frames, ds, path) -> None:
     """A prediction bundle's frames must be the dataset's geometries."""
-    if len(frames) != len(ds):
-        raise FileFormatError(f"{path}: {len(frames)} frames for {len(ds)} entries")
-    for i, ((g, _), entry) in enumerate(zip(frames, ds.entries)):
-        ref = entry.geometry
-        same = (g.species, g.n_electrons) == (ref.species, ref.n_electrons)
-        if not same or np.abs(g.positions - ref.positions).max() > 1e-6:
-            raise FileFormatError(f"{path}: frame {i} is not the geometry of entry {i}")
+    if len(frames.positions) != len(ds):
+        raise FileFormatError(
+            f"{path}: {len(frames.positions)} frames for {len(ds)} entries"
+        )
+    if (frames.species, frames.n_electrons) != (ds.species, ds.n_electrons):
+        bad = np.ones(len(ds), dtype=bool)
+    else:
+        bad = np.abs(frames.positions - ds.positions).max(axis=(1, 2)) > 1e-6
+    if bad.any():
+        i = int(bad.argmax())
+        raise FileFormatError(f"{path}: frame {i} is not the geometry of entry {i}")
 
 
 def cmd_validate(args) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,26 +68,10 @@ class Geometry:
     def __post_init__(self):
         self.species = tuple(str(s) for s in self.species)
         self.positions = np.array(self.positions, dtype=float)
-        n = len(self.species)
-        if self.positions.shape != (n, 3):
-            raise InvalidGeometry(
-                f"positions shape {self.positions.shape} does not match "
-                f"{n} species entries"
-            )
-        if not np.all(np.isfinite(self.positions)):
-            raise InvalidGeometry("positions contain non-finite values")
         self.n_electrons = int(self.n_electrons)
-        if self.n_electrons <= 0 or self.n_electrons > 2 * n:
-            raise InvalidGeometry(
-                f"{self.n_electrons} electrons outside (0, {2 * n}] for {n} sites"
-            )
-        if n > 1:
-            r = pair_distances(self)
-            closest = float(r[~np.eye(n, dtype=bool)].min())
-            if closest < R_MIN:
-                raise InvalidGeometry(
-                    f"atoms closer than r_min={R_MIN} A (closest {closest:.3f} A)"
-                )
+        fault = _frame_fault(self.positions[None], len(self.species), self.n_electrons)
+        if fault:
+            raise InvalidGeometry(fault[1])
 
     @property
     def n_atoms(self) -> int:
@@ -97,9 +81,39 @@ class Geometry:
         return Geometry(self.species, positions, self.n_electrons)
 
 
-def pair_distances(g: Geometry) -> np.ndarray:
-    diff = g.positions[:, None, :] - g.positions[None, :, :]
+def pair_distances(positions) -> np.ndarray:
+    """(..., n, n) interatomic distances of one (n, 3) frame or a stack."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _frame_fault(positions: np.ndarray, n_atoms: int, n_electrons: int):
+    """The first geometry rule an (m, n, 3) stack of frames breaks, or None.
+
+    The rules: positions of shape (n_atoms, 3), all finite; an electron
+    count in (0, 2 n_atoms]; no two atoms closer than ``R_MIN``.  A fault
+    is (index of the first frame that breaks the rule, message).
+    """
+    if positions.ndim != 3 or positions.shape[1:] != (n_atoms, 3):
+        return 0, (f"positions shape {positions.shape[1:]} does not match "
+                   f"{n_atoms} species entries")
+    bad = ~np.isfinite(positions).all(axis=(1, 2))
+    if bad.any():
+        return int(bad.argmax()), "positions contain non-finite values"
+    if n_electrons <= 0 or n_electrons > 2 * n_atoms:
+        return 0, (f"{n_electrons} electrons outside (0, {2 * n_atoms}] "
+                   f"for {n_atoms} sites")
+    if n_atoms > 1:
+        # A distance too large for a float is inf, still far from R_MIN.
+        with np.errstate(over="ignore"):
+            r = pair_distances(positions)[:, ~np.eye(n_atoms, dtype=bool)]
+        closest = r.min(axis=1)
+        bad = closest < R_MIN
+        if bad.any():
+            k = int(bad.argmax())
+            return k, (f"atoms closer than r_min={R_MIN} A "
+                       f"(closest {closest[k]:.3f} A)")
+    return None
 
 
 def _per_atom(value, species, name) -> np.ndarray:
@@ -152,7 +166,7 @@ class ModelParams:
 
 def build_overlap(g: Geometry, p: ModelParams) -> np.ndarray:
     """Gaussian overlap S_ij = exp(-alpha r_ij^2), unit diagonal."""
-    r = pair_distances(g)
+    r = pair_distances(g.positions)
     s = np.exp(-p.alpha * r * r)
     np.fill_diagonal(s, 1.0)
     return s
@@ -160,7 +174,7 @@ def build_overlap(g: Geometry, p: ModelParams) -> np.ndarray:
 
 def build_h0(g: Geometry, p: ModelParams) -> np.ndarray:
     """Bare Hamiltonian: on-site eps0, hopping -t0 exp(-beta (r - r0))."""
-    r = pair_distances(g)
+    r = pair_distances(g.positions)
     h0 = -p.t0 * np.exp(-p.beta * (r - p.r0))
     h0[np.diag_indices_from(h0)] = p.eps0_for(g.species)
     return h0
@@ -175,7 +189,7 @@ def mulliken_charges(d, s) -> np.ndarray:
 
 
 def repulsion_energy(g: Geometry, p: ModelParams) -> float:
-    r = pair_distances(g)
+    r = pair_distances(g.positions)
     iu = np.triu_indices(g.n_atoms, k=1)
     return float((p.rep_a * np.exp(-r[iu] / p.rep_rho)).sum())
 
@@ -261,7 +275,7 @@ class Context:
         if h is not None:
             w = w - 0.5 * d @ np.asarray(h, dtype=float) @ d
         diff = g.positions[:, None, :] - g.positions[None, :, :]
-        r = pair_distances(g)
+        r = pair_distances(g.positions)
         # An infinite self-distance zeroes the diagonal of the 1/r terms;
         # the diagonals of S and H0 do not depend on the positions.
         np.fill_diagonal(r, np.inf)
@@ -330,12 +344,16 @@ def frontier_gap(energies, n_electrons: int):
 
 
 def format_xyz_frame(g: Geometry, extra: Mapping | None = None) -> str:
-    pairs = {"n_electrons": g.n_electrons}
+    return _xyz_frame(g.species, g.positions, g.n_electrons, extra)
+
+
+def _xyz_frame(species, positions, n_electrons, extra=None) -> str:
+    pairs = {"n_electrons": n_electrons}
     if extra:
         pairs.update(extra)
     comment = " ".join(f"{k}={_fmt_value(v)}" for k, v in pairs.items())
-    lines = [str(g.n_atoms), comment]
-    for sp, (x, y, z) in zip(g.species, g.positions):
+    lines = [str(len(species)), comment]
+    for sp, (x, y, z) in zip(species, positions):
         lines.append(f"{sp} {x:.17g} {y:.17g} {z:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -363,19 +381,23 @@ def _parse_comment(line: str) -> dict:
     return out
 
 
-def parse_xyz_frames(text: str, path="<string>") -> list:
-    """All (Geometry, comment-dict) frames in an extended-xyz string."""
+def _xyz_records(text: str, path) -> list:
+    """(species, coordinate rows, n_electrons, comment dict) of every frame.
+
+    Only the syntax is checked here; the geometry rules are
+    :func:`_frame_fault`'s.
+    """
     lines = text.splitlines()
-    frames = []
+    records = []
     i = 0
     while i < len(lines):
         if not lines[i].strip():
             i += 1
             continue
-        try:
-            n = int(lines[i].strip())
-        except ValueError:
+        count = lines[i].strip()
+        if not count.isdecimal():
             raise FileFormatError(f"{path}: expected atom count, got {lines[i]!r}")
+        n = int(count)
         if len(lines) < i + 2 + n:
             raise FileFormatError(f"{path}: truncated frame at line {i + 1}")
         meta = _parse_comment(lines[i + 1])
@@ -399,21 +421,69 @@ def parse_xyz_frames(text: str, path="<string>") -> list:
                 raise FileFormatError(
                     f"{path}:{lineno}: non-numeric coordinate in {row!r}"
                 ) from None
+        records.append((tuple(species), coords, n_electrons, meta))
+        i += 2 + n
+    if not records:
+        raise FileFormatError(f"{path}: no frames found")
+    return records
+
+
+def parse_xyz_frames(text: str, path="<string>") -> list:
+    """All (Geometry, comment-dict) frames in an extended-xyz string."""
+    frames = []
+    for k, (species, coords, n_electrons, meta) in enumerate(_xyz_records(text, path)):
         try:
             g = Geometry(species, np.array(coords), n_electrons)
         except InvalidGeometry as exc:
-            raise FileFormatError(f"{path}: frame {len(frames)}: {exc}") from None
+            raise FileFormatError(f"{path}: frame {k}: {exc}") from None
         frames.append((g, meta))
-        i += 2 + n
-    if not frames:
-        raise FileFormatError(f"{path}: no frames found")
     return frames
 
 
+class XyzStack(NamedTuple):
+    """The m frames of an extended-XYZ text that holds one system."""
+
+    species: tuple
+    n_electrons: int
+    positions: np.ndarray  # (m, n, 3)
+    comments: list         # m comment-line dicts
+
+
+def parse_xyz_stack(text: str, path="<string>") -> XyzStack:
+    """All frames of an extended-xyz string as one :class:`XyzStack`.
+
+    The frames must be geometries of one system: the same species in the
+    same order and the same electron count.  Each rule of
+    :class:`Geometry` is checked on the whole stack at once; any fault
+    raises ``FileFormatError`` naming the frame.
+    """
+    records = _xyz_records(text, path)
+    species, _, n_electrons, _ = records[0]
+    for k, (sp, _, n_e, _) in enumerate(records):
+        if len(sp) != len(species):
+            raise FileFormatError(f"{path}: frames differ in atom count")
+        if sp != species or n_e != n_electrons:
+            raise FileFormatError(
+                f"{path}: frame {k}: species or electron count differs from frame 0"
+            )
+    positions = np.array([c for _, c, _, _ in records], dtype=float)
+    fault = _frame_fault(positions, len(species), n_electrons)
+    if fault:
+        raise FileFormatError(f"{path}: frame {fault[0]}: {fault[1]}")
+    return XyzStack(species, n_electrons, positions, [meta for *_, meta in records])
+
+
+def read_text(path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a FileFormatError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+
+
 def load_geometry(path) -> Geometry:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_xyz_frames(text, path=str(path))[0][0]
+    return parse_xyz_frames(read_text(path), path=str(path))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +518,7 @@ def parse_key_values(text: str, path="<string>") -> dict:
 
 
 def read_config(path) -> dict:
-    with open(path) as fh:
-        return parse_key_values(fh.read(), path=str(path))
+    return parse_key_values(read_text(path), path=str(path))
 
 
 _SPECIES_FIELDS = ("hubbard_u", "eps0", "q_ref")

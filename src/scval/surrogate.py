@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,22 +56,60 @@ class DatasetEntry:
 
 @dataclass
 class Dataset:
-    entries: list
+    """m labeled geometries of one system, held as stacks.
+
+    ``positions`` is (m, n, 3); ``hamiltonian``, ``density`` and
+    ``overlap`` are (m, n, n); ``labels`` holds one (m,) array per
+    scalar field of :class:`model.ScfSolution` (``_LABELS``).
+    """
+
+    species: tuple
+    n_electrons: int
+    positions: np.ndarray
+    hamiltonian: np.ndarray
+    density: np.ndarray
+    overlap: np.ndarray
+    labels: dict
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    @classmethod
+    def from_entries(cls, entries, metadata=None) -> "Dataset":
+        """Stack per-entry (geometry, solution) pairs of one system."""
+        if not entries:
             raise EmptyDataset("dataset has no entries")
-        ref = self.entries[0].geometry
-        for i, entry in enumerate(self.entries):
+        ref = entries[0].geometry
+        for i, entry in enumerate(entries):
             g = entry.geometry
             if g.species != ref.species or g.n_electrons != ref.n_electrons:
                 raise SpeciesMismatch(
                     f"entry {i} species/electron count differs from entry 0"
                 )
+        sols = [e.solution for e in entries]
+        return cls(
+            ref.species, ref.n_electrons,
+            np.stack([e.geometry.positions for e in entries]),
+            **{name: np.stack([getattr(s, name) for s in sols])
+               for name in _KINDS.values()},
+            labels={k: np.array([getattr(s, k) for s in sols]) for k in _LABELS},
+            metadata=dict(metadata or {}),
+        )
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @cached_property
+    def entries(self) -> list:
+        """Per-entry view of the stacks, built on first read."""
+        return [
+            DatasetEntry(
+                model.Geometry(self.species, self.positions[i], self.n_electrons),
+                model.ScfSolution(
+                    self.hamiltonian[i], self.density[i], self.overlap[i],
+                    **{k: v[i].item() for k, v in self.labels.items()},
+                ),
+            )
+            for i in range(len(self))
+        ]
 
 
 _SKIPPABLE = (
@@ -177,7 +216,7 @@ def generate_dataset(
         "amplitude": float(amplitude),
         "temperature": float(temperature),
     }
-    return Dataset(entries=entries, metadata=metadata)
+    return Dataset.from_entries(entries, metadata)
 
 
 def oracle_noise_predict(
@@ -216,11 +255,16 @@ def oracle_noise_predict(
 # Kernel nearest-neighbor regression.
 
 
-def descriptor(g: model.Geometry) -> np.ndarray:
-    """Sorted vector of all pairwise distances (permutation invariant)."""
-    r = model.pair_distances(g)
-    iu = np.triu_indices(g.n_atoms, k=1)
-    return np.sort(r[iu])
+def descriptor(positions) -> np.ndarray:
+    """Sorted pairwise distances of each (n, 3) frame (permutation invariant).
+
+    One (n_pairs,) vector per frame of a (..., n, 3) stack, C-contiguous
+    so that every reduction over it runs in one order.
+    """
+    positions = np.asarray(positions, dtype=float)
+    iu = np.triu_indices(positions.shape[-2], k=1)
+    r = model.pair_distances(positions)[..., iu[0], iu[1]]
+    return np.ascontiguousarray(np.sort(r, axis=-1))
 
 
 @dataclass
@@ -262,10 +306,19 @@ def kernel_fit(
     distance, then 1.0, when entries coincide).  k is clamped to the
     dataset size.
     """
+    return _fit(ds, bandwidth, k_neighbors)[0]
+
+
+def _fit(ds: Dataset, bandwidth, k_neighbors) -> tuple:
+    """(model, the (m, m) distances its bandwidth was picked from or None).
+
+    The distance matrix comes back with an infinite diagonal.
+    """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
     m = len(ds)
-    desc = np.stack([descriptor(e.geometry) for e in ds.entries])
+    desc = descriptor(ds.positions)
+    dist = None
     if bandwidth is None:
         dist = _descriptor_distances(desc)
         np.fill_diagonal(dist, np.inf)
@@ -278,16 +331,16 @@ def kernel_fit(
         bandwidth = med
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    g0 = ds.entries[0].geometry
-    return KernelModel(
-        species=g0.species,
-        n_electrons=g0.n_electrons,
+    km = KernelModel(
+        species=ds.species,
+        n_electrons=ds.n_electrons,
         descriptors=desc,
-        h_train=np.stack([e.solution.hamiltonian for e in ds.entries]),
-        d_train=np.stack([e.solution.density for e in ds.entries]),
+        h_train=ds.hamiltonian,
+        d_train=ds.density,
         bandwidth=float(bandwidth),
         k_neighbors=min(int(k_neighbors), m),
     )
+    return km, dist
 
 
 def _kernel_average(m: KernelModel, dists: np.ndarray) -> Prediction:
@@ -311,7 +364,7 @@ def kernel_predict(m: KernelModel, g: model.Geometry) -> Prediction:
     """Gaussian-weighted average of the k nearest training pairs."""
     if g.species != m.species or g.n_electrons != m.n_electrons:
         raise SpeciesMismatch("query system does not match the training system")
-    q = descriptor(g)
+    q = descriptor(g.positions)
     dists = np.sqrt(((m.descriptors - q) ** 2).sum(axis=1))
     return _kernel_average(m, dists)
 
@@ -330,21 +383,21 @@ def kernel_loo(
     """
     from .validator import self_diis as _self_diis
 
-    m = kernel_fit(ds, bandwidth=bandwidth, k_neighbors=k_neighbors)
+    m, full = _fit(ds, bandwidth, k_neighbors)
     n_entries = len(ds)
     if n_entries < 2:
         raise EmptyDataset("leave-one-out needs at least two entries")
-    full = _descriptor_distances(m.descriptors)
+    if full is None:
+        full = _descriptor_distances(m.descriptors)
     loo_model = replace(m, k_neighbors=min(m.k_neighbors, n_entries - 1))
     out = {"self_diis": [], "mae_h": [], "mae_d": []}
-    for i, entry in enumerate(ds.entries):
+    for i in range(n_entries):
         dists = full[i].copy()
         dists[i] = np.inf  # hold the entry itself out
         pred = _kernel_average(loo_model, dists)
-        sol = entry.solution
-        out["self_diis"].append(_self_diis(pred, sol.overlap, norm))
-        out["mae_h"].append(float(np.abs(pred.h_pred - sol.hamiltonian).mean()))
-        out["mae_d"].append(float(np.abs(pred.d_pred - sol.density).mean()))
+        out["self_diis"].append(_self_diis(pred, ds.overlap[i], norm))
+        out["mae_h"].append(float(np.abs(pred.h_pred - ds.hamiltonian[i]).mean()))
+        out["mae_d"].append(float(np.abs(pred.d_pred - ds.density[i]).mean()))
     return {k: np.array(v) for k, v in out.items()}
 
 
@@ -363,34 +416,33 @@ _FRAMES = "geometries.xyz"
 _FORMAT = "scval-dataset-v2"
 _MANIFEST_KEYS = ("format", "mode", "seed", "n_entries", "amplitude", "temperature")
 _KINDS = {"H": "hamiltonian", "D": "density", "S": "overlap"}
+# np.int64 rejects an integer label that does not fit its array.
 _LABELS = {"e_total": float, "gap": float, "strict_diis": float,
-           "iterations": int, "converged": int}
+           "iterations": np.int64, "converged": np.int64}
 
 
 def _write_stack(path: Path, frames, stacks: dict) -> None:
-    """Write (geometry, comment extras) frames and {kind: (m, n, n)} stacks."""
+    """Write extended-XYZ frame texts and {kind: (m, n, n)} stacks."""
     path.mkdir(parents=True, exist_ok=True)
     with open(path / _FRAMES, "w") as fh:
-        fh.writelines(model.format_xyz_frame(g, extra) for g, extra in frames)
+        fh.writelines(frames)
     for kind, mats in stacks.items():
         matcore.write_scvm(path / f"{kind}.scvm", np.concatenate(mats))
 
 
 def _read_stack(path, kinds) -> tuple:
-    """(frames of geometries.xyz, {kind: (m, n, n) stack of <kind>.scvm}).
+    """(:class:`model.XyzStack` of geometries.xyz, {kind: (m, n, n) stack}).
 
-    Every file must exist, every frame must have n atoms, and every
-    stack must be exactly (m*n, n).
+    Every file must exist, the frames must be geometries of one system,
+    and every stack must be exactly (m*n, n).
     """
     path = Path(path)
     for name in (_FRAMES, *(f"{kind}.scvm" for kind in kinds)):
         if not (path / name).is_file():
             raise FileFormatError(f"{path}: missing {name}")
-    text = (path / _FRAMES).read_text()
-    frames = model.parse_xyz_frames(text, path=str(path / _FRAMES))
-    m, n = len(frames), frames[0][0].n_atoms
-    if any(g.n_atoms != n for g, _ in frames):
-        raise FileFormatError(f"{path / _FRAMES}: frames differ in atom count")
+    text = model.read_text(path / _FRAMES)
+    frames = model.parse_xyz_stack(text, path=str(path / _FRAMES))
+    m, n, _ = frames.positions.shape
     stacks = {}
     for kind in kinds:
         mats = matcore.read_scvm(path / f"{kind}.scvm")
@@ -405,10 +457,12 @@ def _read_stack(path, kinds) -> tuple:
 def save_dataset(ds: Dataset, path) -> None:
     """Write ``ds`` as one v2 bundle (layout above) in directory ``path``."""
     path = Path(path)
-    sols = [e.solution for e in ds.entries]
-    labels = [{k: f(getattr(sol, k)) for k, f in _LABELS.items()} for sol in sols]
-    stacks = {k: [getattr(sol, name) for sol in sols] for k, name in _KINDS.items()}
-    _write_stack(path, zip((e.geometry for e in ds.entries), labels), stacks)
+    frames = (
+        model._xyz_frame(ds.species, pos, ds.n_electrons,
+                         {k: f(ds.labels[k][i]) for k, f in _LABELS.items()})
+        for i, pos in enumerate(ds.positions)
+    )
+    _write_stack(path, frames, {k: getattr(ds, name) for k, name in _KINDS.items()})
     meta = {**ds.metadata, "format": _FORMAT, "n_entries": len(ds)}
     lines = [f"{k} = {model._fmt_value(meta[k])}" for k in _MANIFEST_KEYS if k in meta]
     (path / _MANIFEST).write_text("\n".join(lines) + "\n")
@@ -417,9 +471,11 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Rebuild a dataset from the v2 bundle that :func:`save_dataset` wrote.
 
-    A v1 manifest, a missing file, a misshapen stack, a frame count other
-    than ``n_entries`` or a missing label raises ``FileFormatError``.  No
-    eigensolve runs: ``coeffs`` and ``energies`` are solved on first read.
+    A v1 manifest, a missing file, a misshapen stack, a frame that breaks
+    a geometry rule or differs from frame 0 in species or electron count,
+    a frame count other than ``n_entries`` or a missing label raises
+    ``FileFormatError``.  It reads straight into the stacks: no per-entry
+    object is built and no eigensolve runs.
     """
     path = Path(path)
     if not (path / _MANIFEST).is_file():
@@ -429,21 +485,23 @@ def load_dataset(path) -> Dataset:
         raise FileFormatError(
             f"{path}: format is not {_FORMAT}; regenerate it with `scval gen`"
         )
-    frames, stacks = _read_stack(path, _KINDS)
-    if metadata.get("n_entries") != len(frames):
+    (species, n_electrons, positions, comments), stacks = _read_stack(path, _KINDS)
+    if metadata.get("n_entries") != len(positions):
         raise FileFormatError(
-            f"{path}: {len(frames)} frames, n_entries = {metadata.get('n_entries')}"
+            f"{path}: {len(positions)} frames, n_entries = {metadata.get('n_entries')}"
         )
-    entries = []
-    for i, (g, meta) in enumerate(frames):
+    rows = []
+    for i, meta in enumerate(comments):
         try:
-            labels = {k: parse(meta[k]) for k, parse in _LABELS.items()}
+            rows.append([parse(meta[k]) for k, parse in _LABELS.items()])
         except KeyError as exc:
             raise FileFormatError(f"{path / _FRAMES}: frame {i} lacks {exc}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise FileFormatError(f"{path / _FRAMES}: frame {i}: {exc}")
-        labels["converged"] = bool(labels["converged"])
-        mats = {name: stacks[k][i] for k, name in _KINDS.items()}
-        sol = model.ScfSolution(**mats, **labels)
-        entries.append(DatasetEntry(g, sol))
-    return Dataset(entries=entries, metadata=metadata)
+    labels = {k: np.array(column) for k, column in zip(_LABELS, zip(*rows))}
+    labels["converged"] = labels["converged"].astype(bool)
+    return Dataset(
+        species, n_electrons, positions,
+        **{name: stacks[k] for k, name in _KINDS.items()},
+        labels=labels, metadata=metadata,
+    )

@@ -192,7 +192,8 @@ def test_external_bundle_must_match_dataset(work, tmp_path, capsys, case):
         pos[2, 1] += 0.01
         geometries[5] = geometries[5].with_positions(pos)
         message = "frame 5 is not the geometry of entry 5"
-    surrogate._write_stack(tmp_path / "pred", [(g, None) for g in geometries], {
+    frames = map(model.format_xyz_frame, geometries)
+    surrogate._write_stack(tmp_path / "pred", frames, {
         "H": [e.solution.hamiltonian for e in entries],
         "D": [e.solution.density for e in entries],
     })

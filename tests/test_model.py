@@ -52,6 +52,11 @@ def test_geometry_rejects_nonfinite():
         model.Geometry(("A",), [[0.0, np.nan, 0.0]], 2)
 
 
+def test_geometry_rejects_misshapen_positions():
+    with pytest.raises(InvalidGeometry, match=r"shape \(2, 2\) does not match 2"):
+        model.Geometry(("A", "A"), np.zeros((2, 2)), 2)
+
+
 def test_with_positions_keeps_metadata():
     g = dimer(1.4)
     g2 = g.with_positions(g.positions + 1.0)
@@ -419,6 +424,25 @@ def test_xyz_parse_errors():
         model.parse_xyz_frames("1\nno_key_here\nA 0 0 0\n")  # no n_electrons
     with pytest.raises(FileFormatError):
         model.parse_xyz_frames("")
+
+
+def test_xyz_stack_holds_the_frames_of_parse_xyz_frames():
+    text = "".join(model.format_xyz_frame(dimer(r), {"step": k})
+                   for k, r in enumerate((1.4, 1.6, 1.5)))
+    frames = model.parse_xyz_frames(text)
+    stack = model.parse_xyz_stack(text)
+    assert stack.species == frames[0][0].species
+    assert stack.n_electrons == frames[0][0].n_electrons
+    np.testing.assert_array_equal(stack.positions, [g.positions for g, _ in frames])
+    assert stack.comments == [meta for _, meta in frames]
+
+
+@pytest.mark.parametrize("parse", [model.parse_xyz_frames, model.parse_xyz_stack])
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_xyz_rejects_a_negative_or_zero_atom_count(parse, count):
+    # A negative count would step the frame scan backwards.
+    with pytest.raises(FileFormatError):
+        parse(f"{count}\nn_electrons=2\nA 0 0 0\nA 0 0 1.4\n")
 
 
 def test_parse_key_values():

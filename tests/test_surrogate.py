@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scval import cli, matcore, model, scf, surrogate, validator
 from scval.errors import (
@@ -157,10 +159,10 @@ def test_generation_argument_validation():
 
 def test_dataset_rejects_empty_and_mixed_entries():
     with pytest.raises(EmptyDataset):
-        Dataset(entries=[])
+        Dataset.from_entries([])
     other = model.Geometry(("A", "B", "A", "A"), chain(1.5).positions, 4)
     with pytest.raises(SpeciesMismatch):
-        Dataset(entries=[entry(chain(1.4)), entry(other)])
+        Dataset.from_entries([entry(chain(1.4)), entry(other)])
 
 
 # --- descriptors and kernel regression --------------------------------------------
@@ -168,17 +170,32 @@ def test_dataset_rejects_empty_and_mixed_entries():
 
 def test_descriptor_is_sorted_and_permutation_invariant():
     g = chain(1.37)
-    d = surrogate.descriptor(g)
+    d = surrogate.descriptor(g.positions)
     assert d.shape == (g.n_atoms * (g.n_atoms - 1) // 2,)
     assert np.all(np.diff(d) >= 0)
     perm = [2, 0, 3, 1]
-    g2 = model.Geometry(g.species, g.positions[perm], g.n_electrons)
-    np.testing.assert_allclose(surrogate.descriptor(g2), d, atol=1e-12)
+    np.testing.assert_allclose(surrogate.descriptor(g.positions[perm]), d,
+                               atol=1e-12)
+
+
+def test_batched_descriptors_equal_a_per_geometry_loop():
+    positions = np.random.default_rng(7).uniform(-2.0, 2.0, size=(37, 6, 3))
+    batch = surrogate.descriptor(positions)
+    assert batch.shape == (37, 15)
+    # A non-contiguous stack would change the order of kernel_predict's
+    # row sums, and with it the last bits of every prediction.
+    assert batch.flags.c_contiguous
+    iu = np.triu_indices(6, k=1)
+    for pos, row in zip(positions, batch, strict=True):
+        diff = pos[:, None, :] - pos[None, :, :]
+        r = np.sqrt((diff * diff).sum(axis=-1))
+        np.testing.assert_array_equal(row, np.sort(r[iu]))
+        np.testing.assert_array_equal(surrogate.descriptor(pos), row)
 
 
 def test_training_point_recalled_exactly_with_k1():
     entries = [entry(chain(s)) for s in (1.3, 1.4, 1.5)]
-    km = surrogate.kernel_fit(Dataset(entries=entries), k_neighbors=1)
+    km = surrogate.kernel_fit(Dataset.from_entries(entries), k_neighbors=1)
     pred = surrogate.kernel_predict(km, entries[1].geometry)
     np.testing.assert_array_equal(pred.h_pred, entries[1].solution.hamiltonian)
     np.testing.assert_array_equal(pred.d_pred, entries[1].solution.density)
@@ -189,7 +206,7 @@ def test_equidistant_query_averages_the_pair():
     # Spacings 1.25/1.75 put the 1.5 chain exactly midway in descriptor
     # space, so the two Gaussian weights tie at 1/2.
     a, b = entry(chain(1.25)), entry(chain(1.75))
-    km = surrogate.kernel_fit(Dataset(entries=[a, b]), k_neighbors=2)
+    km = surrogate.kernel_fit(Dataset.from_entries([a, b]), k_neighbors=2)
     pred = surrogate.kernel_predict(km, chain(1.5))
     np.testing.assert_allclose(
         pred.h_pred, 0.5 * (a.solution.hamiltonian + b.solution.hamiltonian),
@@ -202,9 +219,9 @@ def test_equidistant_query_averages_the_pair():
 
 def test_duplicated_dataset_renormalizes_to_same_prediction():
     entries = [entry(chain(1.25)), entry(chain(1.75))]
-    km1 = surrogate.kernel_fit(Dataset(entries=entries), bandwidth=0.5,
+    km1 = surrogate.kernel_fit(Dataset.from_entries(entries), bandwidth=0.5,
                                k_neighbors=2)
-    km2 = surrogate.kernel_fit(Dataset(entries=entries * 2), bandwidth=0.5,
+    km2 = surrogate.kernel_fit(Dataset.from_entries(entries * 2), bandwidth=0.5,
                                k_neighbors=4)
     q = chain(1.31)
     p1 = surrogate.kernel_predict(km1, q)
@@ -215,19 +232,19 @@ def test_duplicated_dataset_renormalizes_to_same_prediction():
 
 def test_duplicate_entries_still_get_positive_bandwidth():
     a, b = entry(chain(1.25)), entry(chain(1.75))
-    km = surrogate.kernel_fit(Dataset(entries=[a, a, b]), k_neighbors=3)
+    km = surrogate.kernel_fit(Dataset.from_entries([a, a, b]), k_neighbors=3)
     assert km.bandwidth > 0
     assert np.isfinite(km.bandwidth)
 
 
 def test_kernel_defaults_clamped():
     entries = [entry(chain(s)) for s in (1.3, 1.5)]
-    km = surrogate.kernel_fit(Dataset(entries=entries), k_neighbors=8)
+    km = surrogate.kernel_fit(Dataset.from_entries(entries), k_neighbors=8)
     assert km.k_neighbors == 2
     with pytest.raises(ValueError):
-        surrogate.kernel_fit(Dataset(entries=entries), k_neighbors=0)
+        surrogate.kernel_fit(Dataset.from_entries(entries), k_neighbors=0)
     with pytest.raises(ValueError):
-        surrogate.kernel_fit(Dataset(entries=entries), bandwidth=-1.0)
+        surrogate.kernel_fit(Dataset.from_entries(entries), bandwidth=-1.0)
 
 
 def test_kernel_prediction_symmetric_and_deterministic():
@@ -242,7 +259,7 @@ def test_kernel_prediction_symmetric_and_deterministic():
 
 
 def test_kernel_rejects_mismatched_query():
-    km = surrogate.kernel_fit(Dataset(entries=[entry(chain(1.4))]))
+    km = surrogate.kernel_fit(Dataset.from_entries([entry(chain(1.4))]))
     bad = model.Geometry(("A", "A", "A", "A"), chain(1.4).positions, 2)
     with pytest.raises(SpeciesMismatch):
         surrogate.kernel_predict(km, bad)
@@ -252,7 +269,7 @@ def test_interpolation_breaks_self_consistency():
     # Matrix-space averaging of two distinct converged pairs is not a
     # converged pair; the residual has to see it.
     a, b = entry(chain(1.25)), entry(chain(1.75))
-    km = surrogate.kernel_fit(Dataset(entries=[a, b]), k_neighbors=2)
+    km = surrogate.kernel_fit(Dataset.from_entries([a, b]), k_neighbors=2)
     q = chain(1.5)
     pred = surrogate.kernel_predict(km, q)
     s = model.build_overlap(q, P)
@@ -289,6 +306,27 @@ def test_leave_one_out_reports_finite_errors():
         assert (values > 0).all()
 
 
+def test_leave_one_out_builds_the_distance_matrix_once(monkeypatch):
+    ds = surrogate.generate_dataset(chain(1.4), P, 12, amplitude=0.04, seed=12)
+    calls = []
+    real = surrogate._descriptor_distances
+
+    def counting(desc):
+        calls.append(len(desc))
+        return real(desc)
+
+    monkeypatch.setattr(surrogate, "_descriptor_distances", counting)
+    picked = surrogate.kernel_loo(ds, k_neighbors=4)
+    assert calls == [12]
+    monkeypatch.undo()
+    # The bandwidth it picks is kernel_fit's, and the arrays are those of
+    # a run given that bandwidth, bit for bit.
+    bandwidth = surrogate.kernel_fit(ds).bandwidth
+    given_bw = surrogate.kernel_loo(ds, bandwidth=bandwidth, k_neighbors=4)
+    for key in ("self_diis", "mae_h", "mae_d"):
+        np.testing.assert_array_equal(picked[key], given_bw[key], key)
+
+
 def test_descriptor_distances_match_the_full_tensor():
     # 150 rows span two full blocks and a partial one; every entry must be
     # the same sum as in the one-tensor form, bit for bit.
@@ -312,7 +350,7 @@ def test_descriptor_distances_memory_is_bounded():
 
 def test_leave_one_out_needs_two_entries():
     with pytest.raises(EmptyDataset):
-        surrogate.kernel_loo(Dataset(entries=[entry(chain(1.4))]))
+        surrogate.kernel_loo(Dataset.from_entries([entry(chain(1.4))]))
 
 
 # --- disk layout -----------------------------------------------------------------
@@ -344,11 +382,16 @@ def test_loaded_dataset_predicts_like_original(tmp_path):
     ds = surrogate.generate_dataset(chain(1.4), P, 8, amplitude=0.04, seed=10)
     surrogate.save_dataset(ds, tmp_path / "ds")
     back = surrogate.load_dataset(tmp_path / "ds")
-    q = chain(1.42)
-    p1 = surrogate.kernel_predict(surrogate.kernel_fit(ds, k_neighbors=4), q)
-    p2 = surrogate.kernel_predict(surrogate.kernel_fit(back, k_neighbors=4), q)
-    np.testing.assert_array_equal(p1.h_pred, p2.h_pred)
-    np.testing.assert_array_equal(p1.d_pred, p2.d_pred)
+    km1 = surrogate.kernel_fit(ds, k_neighbors=4)
+    km2 = surrogate.kernel_fit(back, k_neighbors=4)
+    assert km1.bandwidth == km2.bandwidth
+    np.testing.assert_array_equal(km1.descriptors, km2.descriptors)
+    assert km2.descriptors.flags.c_contiguous
+    for q in (chain(1.42), chain(1.37), ds.entries[3].geometry):
+        p1 = surrogate.kernel_predict(km1, q)
+        p2 = surrogate.kernel_predict(km2, q)
+        np.testing.assert_array_equal(p1.h_pred, p2.h_pred)
+        np.testing.assert_array_equal(p1.d_pred, p2.d_pred)
 
 
 def test_manifest_format_line(tmp_path):
@@ -398,7 +441,7 @@ def test_load_opens_a_fixed_number_of_files(tmp_path, monkeypatch):
 
     counts = []
     for m in (2, 40):
-        surrogate.save_dataset(Dataset(entries=[one] * m), tmp_path / str(m))
+        surrogate.save_dataset(Dataset.from_entries([one] * m), tmp_path / str(m))
         opened.clear()
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)  # pathlib's read_text
@@ -406,6 +449,27 @@ def test_load_opens_a_fixed_number_of_files(tmp_path, monkeypatch):
         monkeypatch.undo()
         counts.append(len(opened))
     assert counts == [5, 5], opened
+
+
+def test_load_and_fit_build_no_per_entry_objects(tmp_path, monkeypatch):
+    # The loader and the fit work on the stacks: how many Geometry
+    # objects they build does not grow with the number of entries.
+    one = entry(chain(1.4))
+    real = model.Geometry.__post_init__
+    counts = []
+    for m in (2, 40):
+        surrogate.save_dataset(Dataset.from_entries([one] * m), tmp_path / str(m))
+        built = []
+
+        def counting(self):
+            built.append(1)
+            real(self)
+
+        monkeypatch.setattr(model.Geometry, "__post_init__", counting)
+        surrogate.kernel_fit(surrogate.load_dataset(tmp_path / str(m)))
+        monkeypatch.undo()
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
 
 
 def _drop_last_row(path):
@@ -425,6 +489,23 @@ def _edit(name, pattern, repl):
     return corrupt
 
 
+def _edit_line(index, pattern, repl):
+    # In the 3-frame bundle of 4-atom chains, frame k starts at line 6k:
+    # atom count, comment line, then atoms 0 to 3.
+    def corrupt(path):
+        lines = (path / "geometries.xyz").read_text().splitlines(keepends=True)
+        lines[index] = re.sub(pattern, repl, lines[index], count=1)
+        (path / "geometries.xyz").write_text("".join(lines))
+
+    return corrupt
+
+
+def _copy_atom_line(path):
+    lines = (path / "geometries.xyz").read_text().splitlines(keepends=True)
+    lines[15] = lines[14]  # atom 1 of frame 2 onto atom 0
+    (path / "geometries.xyz").write_text("".join(lines))
+
+
 _HOSTILE = {
     "stack rows": (_drop_last_row, "H.scvm: shape"),
     "stack columns": (_add_column, "D.scvm: shape"),
@@ -436,6 +517,16 @@ _HOSTILE = {
                         "frame 0: could not convert string to float: 'wide'"),
     "v1 manifest": (_edit("manifest.txt", "v2", "v1"), "regenerate it with `scval gen`"),
     "missing S": (lambda path: (path / "S.scvm").unlink(), "missing S.scvm"),
+    "bytes not UTF-8": (lambda path: (path / "geometries.xyz").write_bytes(b"\xff"),
+                        "geometries.xyz: 'utf-8' codec can't decode"),
+    "species differs": (_edit_line(9, r"^A", "B"),
+                        "geometries.xyz: frame 1: species or electron count"),
+    "electron count differs": (_edit_line(7, r"n_electrons=4", "n_electrons=2"),
+                               "geometries.xyz: frame 1: species or electron count"),
+    "NaN coordinate": (_edit_line(15, r"\S+$", "nan"),
+                       "geometries.xyz: frame 2: positions contain non-finite"),
+    "atoms too close": (_copy_atom_line,
+                        "geometries.xyz: frame 2: atoms closer than r_min"),
 }
 
 
@@ -462,6 +553,15 @@ def test_hostile_bundle_exits_one(bundle, tmp_path, capsys):
     assert "lacks 'e_total'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["species differs", "electron count differs"])
+def test_mismatched_frame_exits_one(bundle, tmp_path, capsys, case):
+    _HOSTILE[case][0](bundle)
+    code = cli.main(["validate", "--dataset", str(bundle),
+                     "--predictor", "oracle-noise", "--out", str(tmp_path / "v")])
+    assert code == 1
+    assert f"{bundle / 'geometries.xyz'}: frame 1: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("loader", ["load_geometry", "load_dataset"])
 @pytest.mark.parametrize("field", ["coordinate", "n_electrons"])
 def test_non_numeric_field_names_path_and_line(bundle, field, loader):
@@ -480,3 +580,53 @@ def test_non_numeric_field_names_path_and_line(bundle, field, loader):
             model.load_geometry(xyz)
         else:
             surrogate.load_dataset(bundle)
+
+
+# --- fuzzed frame file -----------------------------------------------------------
+
+_JUNK = ("", "x", "-1", "0", "7", "nan", "inf", "1e999", "1e300", "=", "B",
+         "n_electrons=", "n_electrons=x", "gap=", "99999999999999999999")
+_MUTATION = st.tuples(
+    st.sampled_from(("truncate", "junk", "duplicate", "delete")),
+    st.integers(0, 2**16), st.integers(0, 2**16), st.sampled_from(_JUNK),
+)
+
+
+def _mutate(text, op, a, b, junk):
+    """Truncate ``text``, swap one token for junk, or duplicate or delete a line."""
+    if op == "truncate":
+        return text[: a % (len(text) + 1)]
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return text
+    k = a % len(lines)
+    if op == "delete":
+        del lines[k]
+    elif op == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        tokens = lines[k].rstrip("\n").split(" ")
+        tokens[b % len(tokens)] = junk
+        lines[k] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ds"
+    ds = surrogate.generate_dataset(chain(1.4), P, 3, amplitude=0.02, seed=5)
+    surrogate.save_dataset(ds, path)
+    return path, (path / "geometries.xyz").read_text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_frames_raise_only_file_format_error(fuzz_bundle, mutations):
+    path, text = fuzz_bundle
+    for mutation in mutations:
+        text = _mutate(text, *mutation)
+    (path / "geometries.xyz").write_text(text)
+    try:
+        surrogate.load_dataset(path)
+    except FileFormatError:
+        pass

@@ -211,7 +211,7 @@ def test_gradient_of_exact_predictor_is_flat():
 
 def kernel_predictor_from(geometries):
     entries = [DatasetEntry(g, solved(g)) for g in geometries]
-    ds = Dataset(entries=entries)
+    ds = Dataset.from_entries(entries)
     km = surrogate.kernel_fit(ds, k_neighbors=len(entries))
     return lambda g: surrogate.kernel_predict(km, g)
 
@@ -260,7 +260,7 @@ def test_scf_predictor_source_tag():
 
 
 def _write_prediction_bundle(path, geometries, sols):
-    surrogate._write_stack(path, [(g, None) for g in geometries], {
+    surrogate._write_stack(path, map(model.format_xyz_frame, geometries), {
         "H": [sol.hamiltonian for sol in sols],
         "D": [sol.density for sol in sols],
     })
@@ -272,10 +272,10 @@ def test_prediction_bundle_roundtrip(tmp_path):
     _write_prediction_bundle(tmp_path, gs, sols)
     frames, stacks = surrogate._read_stack(tmp_path, "HD")
     assert sorted(stacks) == ["D", "H"]
-    for (g2, _), g, sol, h, d in zip(frames, gs, sols, stacks["H"], stacks["D"],
-                                     strict=True):
-        assert g2.species == g.species
-        np.testing.assert_array_equal(g2.positions, g.positions)
+    assert frames.species == gs[0].species
+    for pos, g, sol, h, d in zip(frames.positions, gs, sols, stacks["H"],
+                                 stacks["D"], strict=True):
+        np.testing.assert_array_equal(pos, g.positions)
         np.testing.assert_array_equal(h, sol.hamiltonian)
         np.testing.assert_array_equal(d, sol.density)
 
@@ -296,7 +296,8 @@ def test_prediction_bundle_shape_mismatch(tmp_path):
     model.dump_geometry(tmp_path / "geometries.xyz", dimer(1.4))
     with pytest.raises(FileFormatError, match="shape"):
         surrogate._read_stack(tmp_path, "HD")
-    surrogate._write_stack(tmp_path, [(g, None), (dimer(1.4), None)], {})
+    surrogate._write_stack(tmp_path, map(model.format_xyz_frame, [g, dimer(1.4)]),
+                           {})
     with pytest.raises(FileFormatError, match="frames differ in atom count"):
         surrogate._read_stack(tmp_path, "HD")
 
