@@ -10,9 +10,12 @@ a converged solution, the variational one.
 
 :class:`Context` holds what depends only on the geometry (S, X = S^-1/2,
 H0, U, q_ref, E_rep), and its methods are the one implementation of
-H(D), E(D) and the forces.  Callers that visit many densities on one
-geometry build it once; the module functions of the same names are
-one-line calls through a fresh context.
+H(D), E(D) and the forces.  ``Context.response(d)`` takes the Mulliken
+charges q of D once and returns (q, H(D), E(D)); the SCF loop and the
+validator call it once per density, and ``effective_hamiltonian``,
+``electronic_energy`` and ``energy`` are views of it.  Callers that
+visit many densities on one geometry build it once; the module
+functions of the same names are one-line calls through a fresh context.
 """
 
 from __future__ import annotations
@@ -240,22 +243,34 @@ class Context:
         w, v = np.linalg.eigh(matcore.symmetrize(self.x @ h @ self.x))
         return w, self.x @ v
 
+    def response(self, d) -> tuple:
+        """(q, H(D), E(D)) of a density or a stack, from one Mulliken pass.
+
+        The three methods below are views of this one evaluation.
+        """
+        q, h, e_el = self._charge_terms(d)
+        return q, h, e_el + self.e_rep
+
+    def _charge_terms(self, d) -> tuple:
+        d = np.asarray(d, dtype=float)
+        q = mulliken_charges(d, self.s)
+        dq = q - self.q_ref
+        udq = self.u * dq
+        h = self.h0 + 0.5 * self.s * (udq[..., :, None] + udq[..., None, :])
+        band = np.einsum("...ij,ji->...", d, self.h0)
+        return q, h, band + 0.5 * (udq * dq).sum(axis=-1)
+
     def electronic_energy(self, d):
         """Band plus charge-fluctuation energy, no ion-ion repulsion."""
-        d = np.asarray(d, dtype=float)
-        dq = mulliken_charges(d, self.s) - self.q_ref
-        band = np.einsum("...ij,ji->...", d, self.h0)
-        return band + 0.5 * (self.u * dq * dq).sum(axis=-1)
+        return self._charge_terms(d)[2]
 
     def energy(self, d):
         """Total energy E(D) = tr(D H0) + 1/2 sum U (q - qref)^2 + E_rep."""
-        return self.electronic_energy(d) + self.e_rep
+        return self.response(d)[2]
 
     def effective_hamiltonian(self, d) -> np.ndarray:
         """H(D) = dE/dD: H0 plus the charge response 1/2 S_ij (U_i dq_i + U_j dq_j)."""
-        d = np.asarray(d, dtype=float)
-        udq = self.u * (mulliken_charges(d, self.s) - self.q_ref)
-        return self.h0 + 0.5 * self.s * (udq[..., :, None] + udq[..., None, :])
+        return self.response(d)[1]
 
     def forces(self, d, h=None) -> np.ndarray:
         """-dE/dR (eV/A) of the total energy at the fixed density D.

@@ -8,15 +8,18 @@ charges, and the charge residual q(D) - q_in.  The next input combines
 the banked pairs with weights that sum to one and minimize the combined
 residual (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer.
 Anal. 49, 1715 (2011)).  On one banked pair this is plain linear mixing.
+The history is three preallocated arrays of depth ``diis_depth``, oldest
+row first: residuals (depth, n), damped H (depth, n, n) and damped q
+(depth, n); the mixed input is a weighted sum over their leading axis.
 The commutator residual at D is the stopping test, so the returned pair
 keeps H = H(D) exactly and D is always an aufbau density.  Each solve
 builds one :class:`model.Context` and takes S, X, H0, U, q_ref and E_rep
-from it.
+from it; one ``Context.response`` call per iteration gives q, H(D) and
+E(D) of the new density from a single Mulliken pass.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,23 +67,7 @@ class ScfConfig:
         matcore.resolve_norm(self.norm)
 
 
-def _anderson_weights(residuals) -> np.ndarray:
-    """Weights c with sum c = 1 minimizing |sum_k c_k r_k|.
-
-    Least squares on differences to the latest residual, which returns
-    the minimum-norm answer for a rank-deficient history instead of
-    refusing it.
-    """
-    if len(residuals) == 1:
-        return np.ones(1)
-    last = residuals[-1]
-    diffs = np.stack([r - last for r in residuals[:-1]], axis=1)
-    gamma = np.linalg.lstsq(diffs, -last, rcond=None)[0]
-    return np.append(gamma, 1.0 - gamma.sum())
-
-
-def _package(ctx, d, err, e_total, iterations, converged) -> model.ScfSolution:
-    h = ctx.effective_hamiltonian(d)
+def _package(ctx, d, h, err, e_total, iterations, converged) -> model.ScfSolution:
     return model.ScfSolution(
         hamiltonian=h,
         density=d,
@@ -95,40 +82,52 @@ def _package(ctx, d, err, e_total, iterations, converged) -> model.ScfSolution:
 
 def _run(g: model.Geometry, p: model.ModelParams, cfg: ScfConfig, d0=None):
     ctx = model.Context(g, p)
-    beta = cfg.damping
+    beta, n = cfg.damping, g.n_atoms
     if d0 is not None:
-        d0 = np.asarray(d0, float)
-        h_in = ctx.effective_hamiltonian(d0)
-        q_in = model.mulliken_charges(d0, ctx.s)
+        q_in, h_in, _ = ctx.response(d0)
     else:
         h_in, q_in = ctx.h0, ctx.q_ref
-    hist = deque(maxlen=cfg.diis_depth)  # (residual, damped H, damped q)
+    # Anderson history, oldest first: residuals, damped H, damped q.
+    res_k = np.empty((cfg.diis_depth, n))
+    h_k = np.empty((cfg.diis_depth, n, n))
+    q_k = np.empty((cfg.diis_depth, n))
+    k = 0  # banked rows
     trace = []
-    best = None  # (err, d, e_total, iteration)
+    best = None  # (err, d, h, e_total, iteration)
 
     for it in range(1, cfg.max_iter + 1):
         levels, orbs = ctx.orbitals(h_in)
         occ = matcore.aufbau_occupations(levels, g.n_electrons)
         d = matcore.build_density(orbs, occ)
-        h = ctx.effective_hamiltonian(d)
+        q, h, e_total = ctx.response(d)
         err = matcore.error_magnitude(matcore.commutator_error(h, d, ctx.s), cfg.norm)
-        e_total = ctx.energy(d)
         trace.append((it, err, e_total))
         if best is None or err < best[0]:
-            best = (err, d, e_total, it)
+            best = (err, d, h, e_total, it)
         if err <= cfg.tol:
-            return _package(ctx, d, err, e_total, it, True), trace
-        q = model.mulliken_charges(d, ctx.s)
-        hist.append(
-            (q - q_in, (1 - beta) * h_in + beta * h, (1 - beta) * q_in + beta * q)
+            return _package(ctx, d, h, err, e_total, it, True), trace
+        if k == cfg.diis_depth:
+            for a in (res_k, h_k, q_k):
+                a[:-1] = a[1:]
+            k -= 1
+        res_k[k], h_k[k], q_k[k] = (
+            q - q_in, (1 - beta) * h_in + beta * h, (1 - beta) * q_in + beta * q
         )
-        mix = list(hist) if it >= cfg.diis_start else [hist[-1]]
-        c = _anderson_weights([r for r, _, _ in mix])
-        h_in = sum(ck * hk for ck, (_, hk, _) in zip(c, mix))
-        q_in = sum(ck * qk for ck, (_, _, qk) in zip(c, mix))
+        k += 1
+        # Weights c with sum c = 1 minimizing |sum c r|, from least squares
+        # on differences to the latest residual, which returns the
+        # minimum-norm answer for a rank-deficient history.
+        lo = 0 if it >= cfg.diis_start else k - 1
+        c = np.ones(1)
+        if k - lo > 1:
+            last = res_k[k - 1]
+            gamma = np.linalg.lstsq((res_k[lo:k - 1] - last).T, -last, rcond=None)[0]
+            c = np.append(gamma, 1.0 - gamma.sum())
+        h_in = (c[:, None, None] * h_k[lo:k]).sum(axis=0)
+        q_in = (c[:, None] * q_k[lo:k]).sum(axis=0)
 
-    err, d, e_total, it = best
-    sol = _package(ctx, d, err, e_total, cfg.max_iter, False)
+    err, d, h, e_total, it = best
+    sol = _package(ctx, d, h, err, e_total, cfg.max_iter, False)
     raise NoConvergence(
         f"no convergence after {cfg.max_iter} iterations "
         f"(best residual {err:.3e} at iteration {it})",
@@ -142,8 +141,8 @@ def scf_solve(
 ) -> model.ScfSolution:
     """Drive H(D) / D(H) to self-consistency; see :class:`ScfConfig`.
 
-    Returns a solution whose Hamiltonian is rebuilt from the final
-    density, so H = effective_hamiltonian(D) holds exactly.  Raises
+    Returns a solution whose Hamiltonian is H(D) of the final density,
+    so H = effective_hamiltonian(D) holds exactly.  Raises
     NoConvergence (carrying the best iterate) when the budget runs out.
     """
     sol, _ = _run(g, p, cfg or ScfConfig(), d0=d0)

@@ -143,16 +143,15 @@ def full_report(
     if len(systems) != len(h):
         raise ValueError(f"{len(systems)} system names for {len(h)} predictions")
     mag = partial(matcore.error_magnitude, norm=norm)
+    _, h_of_d, e_total = ctx.response(d)
     values = {
         "self_diis": mag(matcore.commutator_error(h, d, ctx.s)),
-        "strict_diis": mag(
-            matcore.commutator_error(ctx.effective_hamiltonian(d), d, ctx.s)
-        ),
+        "strict_diis": mag(matcore.commutator_error(h_of_d, d, ctx.s)),
         "mixed_hd": mag(matcore.commutator_error(label.hamiltonian, d, ctx.s)),
         "mixed_dh": mag(matcore.commutator_error(h, label.density, ctx.s)),
         "mae_h": matrix_mae(h, label.hamiltonian),
         "mae_d": matrix_mae(d, label.density),
-        "d_e_total": np.abs(ctx.energy(d) - label.e_total),
+        "d_e_total": np.abs(e_total - label.e_total),
         "d_gap": np.abs(
             model.frontier_gap(ctx.orbitals(h)[0], ctx.g.n_electrons) - label.gap
         ),

@@ -1,12 +1,14 @@
 """SCF solver: convergence, fixed-point identities, Anderson mixing."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from scval import matcore, model, scf
-from scval.errors import NoConvergence
+from scval.errors import NoConvergence, ScvalError
 from scval.systems import chain_geometry, random_geometry, ring_geometry
 
 DAMPING_ONLY = scf.ScfConfig(max_iter=20000, damping=0.05, diis_start=10**9)
@@ -35,6 +37,39 @@ def density_damping(g, p, beta=0.05, max_iter=10000, tol=1e-11):
             return hamiltonians, ctx.energy(d_new), True
         d = (1.0 - beta) * d + beta * d_new
     return hamiltonians, None, False
+
+
+def deque_anderson_inputs(g, p, cfg):
+    """Independent mixing oracle: a deque history and Python sums.
+
+    Runs the Anderson loop with a ``deque`` of (residual, damped H,
+    damped q) tuples, ``np.linalg.lstsq`` on differences to the latest
+    residual and Python ``sum`` over the weighted terms, and returns
+    every input Hamiltonian it diagonalized, in order.
+    """
+    ctx = model.Context(g, p)
+    h_in, q_in, beta = ctx.h0, ctx.q_ref, cfg.damping
+    hist, inputs = deque(maxlen=cfg.diis_depth), []
+    for it in range(1, cfg.max_iter + 1):
+        inputs.append(h_in)
+        energies, coeffs = ctx.orbitals(h_in)
+        d = matcore.build_density(
+            coeffs, matcore.aufbau_occupations(energies, g.n_electrons))
+        h = ctx.effective_hamiltonian(d)
+        if matcore.error_magnitude(matcore.commutator_error(h, d, ctx.s)) <= cfg.tol:
+            return inputs
+        q = model.mulliken_charges(d, ctx.s)
+        hist.append((q - q_in, (1 - beta) * h_in + beta * h, (1 - beta) * q_in + beta * q))
+        mix = list(hist) if it >= cfg.diis_start else [hist[-1]]
+        c = np.ones(1)
+        if len(mix) > 1:
+            last = mix[-1][0]
+            diffs = np.stack([r - last for r, _, _ in mix[:-1]], axis=1)
+            gamma = np.linalg.lstsq(diffs, -last, rcond=None)[0]
+            c = np.append(gamma, 1.0 - gamma.sum())
+        h_in = sum(ck * hk for ck, (_, hk, _) in zip(c, mix))
+        q_in = sum(ck * qk for ck, (_, _, qk) in zip(c, mix))
+    return inputs
 
 
 def brute_force_energy(g, p):
@@ -185,20 +220,71 @@ def test_linear_mixing_follows_density_damping(monkeypatch):
     )
     assert converged
     seen = []
-    real = model.Context.effective_hamiltonian
+    real = model.Context.response
 
     def recording(ctx, d):
-        seen.append(real(ctx, d))
-        return seen[-1]
+        out = real(ctx, d)
+        seen.append(out[1])
+        return out
 
-    monkeypatch.setattr(model.Context, "effective_hamiltonian", recording)
+    monkeypatch.setattr(model.Context, "response", recording)
     sol = scf.scf_solve(g, p, DAMPING_ONLY)
     assert sol.iterations == len(expected)
-    # One build per iteration, plus the rebuild of the returned pair.
-    assert len(seen) == len(expected) + 1
+    # One build per iteration; the returned pair reuses the last one.
+    assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert sol.e_total == pytest.approx(e_ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 26, 74])
+def test_anderson_mixing_matches_a_deque_history(monkeypatch, seed):
+    # Corpus systems of 7, 10 and 5 atoms whose solves outlast the
+    # history depth, so the stacked history wraps.
+    p, cfg = model.ModelParams(), scf.ScfConfig()
+    rng = np.random.default_rng(seed)
+    g = random_geometry(rng, int(rng.integers(4, 11)))
+    expected = deque_anderson_inputs(g, p, cfg)
+    assert len(expected) > cfg.diis_depth + 1
+    seen = []
+    real = model.Context.orbitals
+
+    def recording(ctx, h):
+        seen.append(h)
+        return real(ctx, h)
+
+    monkeypatch.setattr(model.Context, "orbitals", recording)
+    sol = scf.scf_solve(g, p, cfg)
+    # The last orbitals call gives the gap of the returned pair.
+    assert sol.iterations == len(expected) == len(seen) - 1
+    for got, want in zip(seen, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("g", [
+    # The six-atom ring of the README walkthrough, which symmetry settles
+    # in one iteration, and a chain, whose end atoms make it iterate.
+    ring_geometry(6, spacing=1.675, n_electrons=6),
+    chain_geometry(6, spacing=1.45, n_electrons=6),
+], ids=["ring", "chain"])
+def test_one_charge_evaluation_per_iteration(monkeypatch, g, warm):
+    p = model.ModelParams()
+    d0 = None
+    if warm:
+        d0 = scf.scf_solve(g, p).density
+        g = g.with_positions(g.positions * 1.002)
+    calls = []
+    real = model.mulliken_charges
+
+    def counting(d, s):
+        calls.append(1)
+        return real(d, s)
+
+    monkeypatch.setattr(model, "mulliken_charges", counting)
+    sol = scf.scf_solve(g, p, d0=d0)
+    assert sol.converged
+    assert len(calls) == sol.iterations + warm
 
 
 @settings(max_examples=25, deadline=None, derandomize=True,
@@ -215,6 +301,60 @@ def test_converges_wherever_damping_does(seed, n_atoms):
     sol = scf.scf_solve(g, p)
     assert sol.converged
     assert abs(sol.e_total - e_ref) <= 1e-7
+
+
+# --- invariances -----------------------------------------------------------------
+
+SOLVER_EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True,
+                           suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def default_solution(seed, n_atoms):
+    rng = np.random.default_rng(seed)
+    p = model.ModelParams()
+    g = random_geometry(rng, n_atoms)
+    try:
+        return rng, p, g, scf.scf_solve(g, p)
+    except ScvalError:
+        assume(False)
+
+
+@SOLVER_EXAMPLES
+@given(seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(4, 10))
+def test_solution_is_invariant_under_rigid_motion(seed, n_atoms):
+    rng, p, g, sol = default_solution(seed, n_atoms)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    rot = q * np.sign(np.diag(r))
+    rot *= np.linalg.det(rot)  # proper rotation
+    moved = scf.scf_solve(
+        g.with_positions(g.positions @ rot.T + rng.uniform(-5.0, 5.0, 3)), p)
+    tol = 1e-9 * max(1.0, abs(sol.e_total))
+    assert abs(moved.e_total - sol.e_total) <= tol
+    assert abs(moved.strict_diis - sol.strict_diis) <= tol
+
+
+@SOLVER_EXAMPLES
+@given(seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(4, 10))
+def test_permuting_atoms_permutes_the_solution(seed, n_atoms):
+    rng, p, g, sol = default_solution(seed, n_atoms)
+    perm = rng.permutation(n_atoms)
+    permuted = scf.scf_solve(
+        model.Geometry([g.species[i] for i in perm], g.positions[perm],
+                       g.n_electrons), p)
+    ix = np.ix_(perm, perm)
+    np.testing.assert_allclose(permuted.density, sol.density[ix], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(permuted.hamiltonian, sol.hamiltonian[ix],
+                               rtol=0, atol=1e-8)
+
+
+@SOLVER_EXAMPLES
+@given(seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(4, 10))
+def test_returned_residual_is_antisymmetric_and_within_tol(seed, n_atoms):
+    _, _, _, sol = default_solution(seed, n_atoms)
+    cfg = scf.ScfConfig()
+    e = matcore.commutator_error(sol.hamiltonian, sol.density, sol.overlap)
+    np.testing.assert_allclose(e, -e.T, rtol=0, atol=1e-12)
+    assert matcore.error_magnitude(e, cfg.norm) == sol.strict_diis <= cfg.tol
 
 
 # --- trace -----------------------------------------------------------------------
