@@ -18,7 +18,6 @@ from .errors import (
     InvalidGeometry,
     LinearDependence,
     NoConvergence,
-    PredictorFailure,
     ScvalError,
     SpeciesMismatch,
 )
@@ -48,12 +47,11 @@ from .model import (
 )
 from .scf import ScfConfig, scf_solve, scf_trace
 from .validator import (
-    DiisReport,
     Prediction,
+    ReportTable,
     full_report,
     self_diis,
     self_diis_position_gradient,
-    self_report,
 )
 from .surrogate import (
     Dataset,

@@ -280,13 +280,14 @@ def cmd_validate(args) -> int:
         raise ValueError(f"unknown predictor {args.predictor!r}")
 
     # One stacked pass per entry, over one context of its geometry.
-    reports = []
+    tables = []
     for i, entry in enumerate(ds.entries):
         pred, systems = predict(i)
-        reports += validator.full_report(
+        tables.append(validator.full_report(
             pred, entry.solution, model.Context(entry.geometry, p),
             norm=norm, system=systems,
-        )
+        ))
+    reports = validator.ReportTable.concat(tables)
 
     out = _outdir(args)
     validator.write_reports_csv(out / "reports.csv", reports)

@@ -46,10 +46,6 @@ class InsufficientData(ScvalError):
     pass
 
 
-class PredictorFailure(ScvalError):
-    pass
-
-
 class InvalidGeometry(ScvalError):
     pass
 

@@ -3,7 +3,8 @@
 Records are grouped by a condition variable (normally the self residual),
 and per-bin means and standard deviations of each target error are fitted
 with ordinary least squares.  High R-squared of the mean fit is the
-evidence that the label-free residual tracks the labeled errors.
+evidence that the label-free residual tracks the labeled errors.  Reports
+arrive as the columns of a :class:`validator.ReportTable`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 DEFAULT_TARGETS = ("strict_diis", "mae", "d_e_total", "d_gap")
+_ROWS_PER_WRITE = 256
 
 # Report-field lookup for target names; "mae" means the Hamiltonian MAE.
 _TARGET_FIELDS = {
@@ -149,20 +151,19 @@ def linfit(x, y) -> RegressionResult:
     return RegressionResult(slope=slope, intercept=intercept, r_squared=r2, n_points=n)
 
 
-def _condition_values(reports, condition):
-    try:
-        field = _TARGET_FIELDS[condition]
-    except KeyError:
-        raise ValueError(f"unknown condition {condition!r}") from None
-    values = [getattr(r, field) for r in reports]
-    if any(v is None for v in values):
-        raise InsufficientData(f"reports lack the {condition!r} field")
-    return np.array(values, dtype=float)
-
-
 def series(reports, name) -> np.ndarray:
-    """Raw column for a condition/target name (same aliases as the fits)."""
-    return _condition_values(reports, name)
+    """Report column of a condition/target name; it must be all finite."""
+    try:
+        field = _TARGET_FIELDS[name]
+    except KeyError:
+        raise ValueError(f"unknown condition {name!r}") from None
+    values = getattr(reports, field)
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise InsufficientData(
+            f"{bad} of {len(values)} {field!r} values are missing or not finite"
+        )
+    return values
 
 
 def correlation_report(
@@ -181,12 +182,12 @@ def correlation_report(
     uses the binned standard deviations.  Bins holding fewer than
     ``min_count`` records are excluded from the fits.
     """
-    if not reports:
+    if not len(reports):
         raise InsufficientData("no reports")
-    xs = _condition_values(reports, condition)
+    xs = series(reports, condition)
     out = {}
     for target in targets:
-        ys = _condition_values(reports, target)
+        ys = series(reports, target)
         bins = bin_records(xs, ys, n_bins=n_bins, scheme=scheme)
         centers = bins.centers
         keep = (bins.counts >= min_count) & np.isfinite(bins.means)
@@ -247,19 +248,17 @@ def write_plot_data_csv(path, xs, ys, entry: CorrelationEntry) -> None:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     order = np.lexsort((ys, xs))
+    xs = xs[order]
+    ys = ys[order]
     mean_line = entry.mean_fit.predict(xs)
     sigma = np.maximum(entry.std_fit.predict(xs), 0.0)
+    columns = (xs, ys, mean_line, sigma, mean_line - 3.0 * sigma,
+               mean_line + 3.0 * sigma)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "fit_mean", "fit_std", "band_lo", "band_hi"])
-        for i in order:
-            writer.writerow(
-                [
-                    f"{xs[i]:.17g}",
-                    f"{ys[i]:.17g}",
-                    f"{mean_line[i]:.17g}",
-                    f"{sigma[i]:.17g}",
-                    f"{mean_line[i] - 3.0 * sigma[i]:.17g}",
-                    f"{mean_line[i] + 3.0 * sigma[i]:.17g}",
-                ]
-            )
+        # Formatting a block of rows at a time bounds the text held at once.
+        for start in range(0, len(xs), _ROWS_PER_WRITE):
+            rows = slice(start, start + _ROWS_PER_WRITE)
+            writer.writerows(zip(*([f"{v:.17g}" for v in c[rows].tolist()]
+                                   for c in columns)))

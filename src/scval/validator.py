@@ -17,15 +17,17 @@ Every check works on a stack: a :class:`Prediction` may hold B pairs on
 one geometry as (B, n, n) arrays, and :func:`full_report` scores them in
 one pass over that geometry's :class:`model.Context`, so the per-record
 cost is a few batched numpy calls rather than dozens of small ones.  A
-single pair is a stack of one and goes through the same arithmetic.
+single pair is a stack of one and goes through the same arithmetic.  The
+reports stay columns (a :class:`ReportTable`) through ``reports.csv``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,14 +36,12 @@ from .errors import FileFormatError
 
 __all__ = [
     "Prediction",
-    "DiisReport",
+    "ReportTable",
     "REPORT_COLUMNS",
     "matrix_mae",
     "self_diis",
-    "self_report",
     "full_report",
     "self_diis_position_gradient",
-    "scf_predictor",
     "write_reports_csv",
     "read_reports_csv",
 ]
@@ -70,30 +70,47 @@ class Prediction:
 
 
 @dataclass
-class DiisReport:
-    """Per-system residual and error summary.
+class ReportTable:
+    """Validation reports of B records as columns; row b is record b.
 
-    self_diis needs nothing but the prediction and the overlap.
-    strict_diis is the residual with the Hamiltonian rebuilt from the
-    predicted density via the model functional, i.e. the full
-    self-consistency criterion that self_diis approximates.  The
-    remaining fields compare against a labeled solve and stay None when
-    no label is supplied.
+    ``system`` and ``source`` are lists of B strings; every other field
+    is a float64 (B,) array.  self_diis needs nothing but the prediction
+    and the overlap.  strict_diis is the residual with the Hamiltonian
+    rebuilt from the predicted density via the model functional, i.e. the
+    full self-consistency criterion that self_diis approximates.  The
+    remaining fields compare against a labeled solve.  A missing value is
+    NaN.
     """
 
-    system: str = ""
-    source: str = ""
-    self_diis: float = float("nan")
-    strict_diis: Optional[float] = None
-    mixed_hd: Optional[float] = None
-    mixed_dh: Optional[float] = None
-    mae_h: Optional[float] = None
-    mae_d: Optional[float] = None
-    d_e_total: Optional[float] = None
-    d_gap: Optional[float] = None
+    system: list
+    source: list
+    self_diis: np.ndarray
+    strict_diis: np.ndarray
+    mixed_hd: np.ndarray
+    mixed_dh: np.ndarray
+    mae_h: np.ndarray
+    mae_d: np.ndarray
+    d_e_total: np.ndarray
+    d_gap: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.system)
+
+    @classmethod
+    def concat(cls, tables) -> "ReportTable":
+        """The rows of ``tables``, in order, as one table."""
+        tables = list(tables)
+        return cls(
+            [s for t in tables for s in t.system],
+            [s for t in tables for s in t.source],
+            *(np.concatenate([getattr(t, name) for t in tables])
+              for name in _NUMERIC_COLUMNS),
+        )
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(DiisReport))
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportTable))
+_NUMERIC_COLUMNS = REPORT_COLUMNS[2:]
+_ROWS_PER_WRITE = 256
 
 
 def matrix_mae(a, b):
@@ -111,15 +128,6 @@ def self_diis(pred: Prediction, s, norm: str = "frobenius"):
     return matcore.error_magnitude(e, norm)
 
 
-def self_report(
-    pred: Prediction, s, norm: str = "frobenius", system: str = ""
-) -> DiisReport:
-    """Label-free report: only the self residual is filled in."""
-    return DiisReport(
-        system=str(system), source=pred.source, self_diis=self_diis(pred, s, norm)
-    )
-
-
 def full_report(
     pred: Prediction,
     label: model.ScfSolution,
@@ -130,13 +138,12 @@ def full_report(
     """Compare predictions against a labeled solve on the same geometry.
 
     ``ctx`` is the :class:`model.Context` of that geometry.  ``pred``
-    holds one (n, n) pair, scored into one :class:`DiisReport` named
-    ``system``, or a (B, n, n) stack of pairs, scored in one pass into
-    a list of B reports named by the B strings of ``system``.  One pair
-    is a stack of one, so both give the same numbers.
+    holds one (n, n) pair, scored into a one-row :class:`ReportTable`
+    named ``system``, or a (B, n, n) stack of pairs, scored in one pass
+    into a B-row table named by the B strings of ``system``.  One pair is
+    a stack of one, so both give the same numbers.
     """
-    stacked = pred.h_pred.ndim == 3
-    systems = list(system) if stacked else [system]
+    systems = list(system) if pred.h_pred.ndim == 3 else [system]
     n = pred.h_pred.shape[-1]
     h = pred.h_pred.reshape(-1, n, n)
     d = pred.d_pred.reshape(-1, n, n)
@@ -144,24 +151,20 @@ def full_report(
         raise ValueError(f"{len(systems)} system names for {len(h)} predictions")
     mag = partial(matcore.error_magnitude, norm=norm)
     _, h_of_d, e_total = ctx.response(d)
-    values = {
-        "self_diis": mag(matcore.commutator_error(h, d, ctx.s)),
-        "strict_diis": mag(matcore.commutator_error(h_of_d, d, ctx.s)),
-        "mixed_hd": mag(matcore.commutator_error(label.hamiltonian, d, ctx.s)),
-        "mixed_dh": mag(matcore.commutator_error(h, label.density, ctx.s)),
-        "mae_h": matrix_mae(h, label.hamiltonian),
-        "mae_d": matrix_mae(d, label.density),
-        "d_e_total": np.abs(e_total - label.e_total),
-        "d_gap": np.abs(
+    return ReportTable(
+        system=[str(name) for name in systems],
+        source=[pred.source] * len(h),
+        self_diis=mag(matcore.commutator_error(h, d, ctx.s)),
+        strict_diis=mag(matcore.commutator_error(h_of_d, d, ctx.s)),
+        mixed_hd=mag(matcore.commutator_error(label.hamiltonian, d, ctx.s)),
+        mixed_dh=mag(matcore.commutator_error(h, label.density, ctx.s)),
+        mae_h=matrix_mae(h, label.hamiltonian),
+        mae_d=matrix_mae(d, label.density),
+        d_e_total=np.abs(e_total - label.e_total),
+        d_gap=np.abs(
             model.frontier_gap(ctx.orbitals(h)[0], ctx.g.n_electrons) - label.gap
         ),
-    }
-    reports = [
-        DiisReport(system=str(name), source=pred.source,
-                   **{k: float(v[b]) for k, v in values.items()})
-        for b, name in enumerate(systems)
-    ]
-    return reports if stacked else reports[0]
+    )
 
 
 def self_diis_position_gradient(
@@ -193,55 +196,50 @@ def self_diis_position_gradient(
     return grad
 
 
-def scf_predictor(p: model.ModelParams, cfg=None) -> Callable:
-    """Predictor that actually solves SCF; the zero-error reference."""
-    from . import scf as _scf
-
-    def predict(g: model.Geometry) -> Prediction:
-        sol = _scf.scf_solve(g, p, cfg)
-        return Prediction(sol.hamiltonian, sol.density, source="exact")
-
-    return predict
-
-
 # ---------------------------------------------------------------------------
 # Disk formats.
 
 
-def _fmt_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_reports_csv(path, reports) -> None:
-    """Fixed column order, one row per system; label-free fields left empty."""
+def write_reports_csv(path, table: ReportTable) -> None:
+    """Fixed column order, one row per record; NaN is written as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for rep in reports:
-            writer.writerow([_fmt_field(getattr(rep, c)) for c in REPORT_COLUMNS])
+        # Formatting a block of rows at a time bounds the text held at once.
+        for start in range(0, len(table), _ROWS_PER_WRITE):
+            rows = slice(start, start + _ROWS_PER_WRITE)
+            numeric = (getattr(table, c)[rows].tolist() for c in _NUMERIC_COLUMNS)
+            writer.writerows(zip(table.system[rows], table.source[rows], *(
+                [f"{v:.17g}" if v == v else "" for v in values] for values in numeric
+            )))
 
 
-def read_reports_csv(path) -> list:
-    reports = []
+def read_reports_csv(path) -> ReportTable:
+    """The table of a reports CSV; an empty numeric field reads as NaN.
+
+    Malformed input is a FileFormatError naming the path (and the line).
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(REPORT_COLUMNS) - set(reader.fieldnames):
-            raise FileFormatError(f"{path}: missing report columns")
-        for row in reader:
-            # DictReader gives a short row None values, a long one a None key.
-            if None in row or None in row.values():
-                raise FileFormatError(f"{path}:{reader.line_num}: ragged row")
-            try:
-                kwargs = {c: float(row[c]) if row[c] != "" else None
-                          for c in REPORT_COLUMNS[2:]}
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{reader.line_num}: {exc}")
-            if kwargs["self_diis"] is None:
-                kwargs["self_diis"] = float("nan")
-            kwargs.update(system=row["system"], source=row["source"])
-            reports.append(DiisReport(**kwargs))
-    return reports
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or set(REPORT_COLUMNS) - set(header):
+                raise FileFormatError(f"{path}: missing report columns")
+            # A name maps to its last position in the header, as in DictReader.
+            where = {name: i for i, name in enumerate(header)}
+            system, source = [], []
+            numeric = [(where[name], []) for name in _NUMERIC_COLUMNS]
+            # Rows stream straight into their columns; no row list is held.
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FileFormatError(f"{path}:{reader.line_num}: ragged row")
+                system.append(row[where["system"]])
+                source.append(row[where["source"]])
+                for i, column in numeric:
+                    column.append(float(row[i]) if row[i] else math.nan)
+        # UnicodeDecodeError (bytes that are not UTF-8) is a ValueError too.
+        except (csv.Error, ValueError) as exc:
+            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    return ReportTable(system, source, *(np.array(column) for _, column in numeric))

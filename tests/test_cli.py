@@ -2,12 +2,16 @@
 
 import csv
 import math
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scval import cli, matcore, model, scf, surrogate, validator
+from scval.errors import FileFormatError
 from scval.systems import chain_geometry, ring_geometry
 
 
@@ -113,12 +117,11 @@ def test_zero_noise_reports_zero_error(work, tmp_path):
     assert code == 0
     reports = validator.read_reports_csv(tmp_path / "reports.csv")
     assert len(reports) == 12
-    for r in reports:
-        assert r.mae_h == 0.0
-        assert r.mae_d == 0.0
-        assert r.d_e_total == 0.0
-        assert r.self_diis <= 1e-6
-        assert r.strict_diis <= 1e-6
+    assert np.all(reports.mae_h == 0.0)
+    assert np.all(reports.mae_d == 0.0)
+    assert np.all(reports.d_e_total == 0.0)
+    assert np.all(reports.self_diis <= 1e-6)
+    assert np.all(reports.strict_diis <= 1e-6)
 
 
 def test_sigma_sweep_feeds_stats(work, tmp_path):
@@ -158,6 +161,92 @@ def test_stats_rejects_ragged_or_non_numeric_rows(tmp_path, capsys):
         assert "reports.csv:2" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def reports_csv(work):
+    """The bytes of a real 72-row reports.csv (12 entries, 2 sigmas, 3 draws)."""
+    out = work["base"] / "val72"
+    assert cli.main(["validate", "--dataset", str(work["ds"]),
+                     "--predictor", "oracle-noise", "--sigma", "0.001,0.01",
+                     "--repeat", "3", "--seed", "5", "--out", str(out)]) == 0
+    return (out / "reports.csv").read_bytes()
+
+
+def _stats(path, out):
+    return cli.main(["stats", "--reports", str(path), "--bins", "8",
+                     "--out", str(out)])
+
+
+def test_stats_rejects_non_finite_values(reports_csv, tmp_path, capsys):
+    path = tmp_path / "reports.csv"
+    path.write_bytes(reports_csv)
+    assert _stats(path, tmp_path / "ok") == 0
+    lines = reports_csv.decode().splitlines(keepends=True)
+    col = validator.REPORT_COLUMNS.index("mae_h")
+    for k in (5, 30, 60):
+        fields = lines[k].split(",")
+        fields[col] = "1e999"
+        lines[k] = ",".join(fields)
+    path.write_text("".join(lines))
+    assert _stats(path, tmp_path / "st") == 2
+    assert "3 of 72 'mae_h' values are missing or not finite" in (
+        capsys.readouterr().err)
+
+
+def test_stats_rejects_non_utf8_reports(reports_csv, tmp_path, capsys):
+    path = tmp_path / "reports.csv"
+    path.write_bytes(reports_csv[:200] + b"\xff" + reports_csv[200:])
+    with pytest.raises(FileFormatError, match="reports.csv"):
+        validator.read_reports_csv(path)
+    assert _stats(path, tmp_path / "st") == 1
+    assert "reports.csv" in capsys.readouterr().err
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(["truncate", "token", "duplicate", "delete", "byte"]),
+    st.integers(0, 2**31),
+    st.sampled_from([b"nan", b"1e999", b"zz", b'"', b"\x00"]),
+)
+
+
+def _mutate(data, kind, where, token):
+    if kind == "truncate":
+        return data[:where % (len(data) + 1)]
+    if kind == "byte":
+        at = where % (len(data) + 1)
+        return data[:at] + b"\xff" + data[at:]
+    if kind == "token":
+        spans = [m.span() for m in re.finditer(rb"[^,\n]+", data)]
+        if not spans:
+            return data
+        a, b = spans[where % len(spans)]
+        return data[:a] + token + data[b:]
+    lines = data.splitlines(keepends=True)
+    if not lines:
+        return data
+    k = where % len(lines)
+    if kind == "duplicate":
+        return b"".join(lines[:k + 1] + lines[k:])
+    return b"".join(lines[:k] + lines[k + 1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_reports_give_typed_errors(reports_csv, work, mutations):
+    # A hostile reports.csv is read or rejected with FileFormatError, and
+    # stats exits with a documented code instead of raising.
+    data = reports_csv
+    for mutation in mutations:
+        data = _mutate(data, *mutation)
+    path = work["base"] / "fuzz" / "reports.csv"
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    try:
+        validator.read_reports_csv(path)
+    except FileFormatError:
+        pass
+    assert _stats(path, path.parent / "st") in (0, 1, 2)
+
+
 def _validate_external(work, pred, out):
     return cli.main(["validate", "--dataset", str(work["ds"]),
                      "--predictor", "external-file", "--pred", str(pred),
@@ -172,12 +261,11 @@ def test_external_labels_validate_to_zero_error(work, tmp_path):
         shutil.copy(work["ds"] / name, pred / name)
     assert _validate_external(work, pred, tmp_path / "val") == 0
     reports = validator.read_reports_csv(tmp_path / "val" / "reports.csv")
-    assert [r.system for r in reports] == [f"{i:04d}" for i in range(12)]
-    for r in reports:
-        assert r.source == "external-file"
-        assert r.mae_h == 0.0
-        assert r.mae_d == 0.0
-        assert r.self_diis <= scf.ScfConfig().tol
+    assert reports.system == [f"{i:04d}" for i in range(12)]
+    assert reports.source == ["external-file"] * 12
+    assert np.all(reports.mae_h == 0.0)
+    assert np.all(reports.mae_d == 0.0)
+    assert np.all(reports.self_diis <= scf.ScfConfig().tol)
 
 
 @pytest.mark.parametrize("case", ["one frame too few", "one atom moved"])

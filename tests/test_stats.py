@@ -5,34 +5,50 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scval import stats
 from scval.errors import DegenerateInput, InsufficientData
-from scval.validator import DiisReport
+from scval.validator import REPORT_COLUMNS, ReportTable
+
+
+def table(n, **columns):
+    """An n-row report table; numeric columns not given are NaN."""
+    names = columns.pop("system", [str(i) for i in range(n)])
+    source = columns.pop("source", [""] * n)
+    return ReportTable(names, source, **{
+        c: np.full(n, np.nan) if c not in columns else columns[c]
+        for c in REPORT_COLUMNS[2:]
+    })
+
+
+def take(reports, rows):
+    """The given rows of a report table, in the given order."""
+    return ReportTable(*(
+        [getattr(reports, c)[i] for i in rows] if c in ("system", "source")
+        else getattr(reports, c)[rows]
+        for c in REPORT_COLUMNS
+    ))
 
 
 def synthetic_reports(n=1200, seed=42):
     """Reports whose labeled errors scale linearly with the self residual."""
     rng = np.random.default_rng(seed)
     sig = 10 ** rng.uniform(-4, -2, n)
-    reports = []
+    columns = {c: np.empty(n) for c in REPORT_COLUMNS[2:]}
     for i in range(n):
         x = sig[i] * abs(1 + 0.05 * rng.standard_normal())
-        reports.append(
-            DiisReport(
-                system=f"{i:04d}",
-                source="synthetic",
-                self_diis=x,
-                strict_diis=2.0 * x * (1 + 0.1 * rng.standard_normal()),
-                mixed_hd=x,
-                mixed_dh=x,
-                mae_h=0.5 * x * (1 + 0.2 * rng.standard_normal()),
-                mae_d=0.1 * x,
-                d_e_total=3.0 * x * (1 + 0.3 * rng.standard_normal()),
-                d_gap=x * (1 + 0.5 * rng.standard_normal()),
-            )
-        )
-    return reports
+        columns["self_diis"][i] = x
+        columns["strict_diis"][i] = 2.0 * x * (1 + 0.1 * rng.standard_normal())
+        columns["mixed_hd"][i] = x
+        columns["mixed_dh"][i] = x
+        columns["mae_h"][i] = 0.5 * x * (1 + 0.2 * rng.standard_normal())
+        columns["mae_d"][i] = 0.1 * x
+        columns["d_e_total"][i] = 3.0 * x * (1 + 0.3 * rng.standard_normal())
+        columns["d_gap"][i] = x * (1 + 0.5 * rng.standard_normal())
+    return table(n, system=[f"{i:04d}" for i in range(n)],
+                 source=["synthetic"] * n, **columns)
 
 
 # --- bin_records -----------------------------------------------------------------
@@ -164,25 +180,32 @@ def test_linear_reports_regress_cleanly():
 
 
 def test_identical_reports_rejected():
-    reports = [
-        DiisReport(system=str(i), self_diis=1.0, strict_diis=1.0, mae_h=1.0,
-                   mae_d=1.0, d_e_total=1.0, d_gap=1.0)
-        for i in range(100)
-    ]
+    ones = np.ones(100)
+    reports = table(100, self_diis=ones, strict_diis=ones, mae_h=ones,
+                    mae_d=ones, d_e_total=ones, d_gap=ones)
     with pytest.raises(InsufficientData):
         stats.correlation_report(reports)
 
 
 def test_missing_target_field_rejected():
-    reports = [
-        DiisReport(system=str(i), self_diis=float(i), strict_diis=float(i))
-        for i in range(200)
-    ]
+    reports = table(200, self_diis=np.arange(200.0),
+                    strict_diis=np.arange(200.0))
     with pytest.raises(InsufficientData):
         stats.correlation_report(reports, targets=("d_gap",))
     # but the populated field alone is fine
     res = stats.correlation_report(reports, targets=("strict_diis",))
     assert res["strict_diis"].mean_fit.r_squared == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["self_diis", "mae_h"])
+def test_non_finite_column_rejected(column, bad):
+    # One rule for condition and target alike: a column holding a missing
+    # or non-finite value is not binned, and the error names it and counts.
+    reports = synthetic_reports(200)
+    getattr(reports, column)[[3, 50, 120]] = bad
+    with pytest.raises(InsufficientData, match=f"3 of 200 '{column}' values"):
+        stats.correlation_report(reports, targets=("strict_diis", "mae"))
 
 
 def test_unknown_condition_rejected():
@@ -195,7 +218,7 @@ def test_unknown_condition_rejected():
 def test_shuffled_reports_emit_identical_csv(tmp_path):
     reports = synthetic_reports()
     rng = np.random.default_rng(9)
-    shuffled = [reports[i] for i in rng.permutation(len(reports))]
+    shuffled = take(reports, rng.permutation(len(reports)))
     paths = []
     for name, batch in (("a", reports), ("b", shuffled)):
         res = stats.correlation_report(batch)
@@ -248,7 +271,7 @@ def test_series_aliases():
     reports = synthetic_reports(50)
     np.testing.assert_array_equal(
         stats.series(reports, "mae"),
-        np.array([r.mae_h for r in reports]),
+        reports.mae_h,
     )
     with pytest.raises(ValueError):
         stats.series(reports, "nope")
@@ -306,3 +329,43 @@ def test_plot_data_csv_schema(tmp_path):
                                atol=1e-12)
     fit = res["strict_diis"].mean_fit
     np.testing.assert_allclose(data[:, 2], fit.predict(data[:, 0]), atol=1e-12)
+
+
+def row_loop_plot_data_csv(path, xs, ys, entry):
+    """Reference writer: one formatted row per record, in (x, y) order."""
+    order = np.lexsort((ys, xs))
+    mean_line = entry.mean_fit.predict(xs)
+    sigma = np.maximum(entry.std_fit.predict(xs), 0.0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "fit_mean", "fit_std", "band_lo", "band_hi"])
+        for i in order:
+            lo, hi = mean_line[i] - 3.0 * sigma[i], mean_line[i] + 3.0 * sigma[i]
+            writer.writerow([f"{v:.17g}" for v in (xs[i], ys[i], mean_line[i],
+                                                   sigma[i], lo, hi)])
+
+
+_plot_floats = st.one_of(
+    st.floats(-1e100, 1e100),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    points=st.lists(st.tuples(_plot_floats, _plot_floats), min_size=1,
+                    max_size=40),
+    fits=st.lists(_plot_floats, min_size=4, max_size=4),
+)
+def test_plot_data_csv_matches_row_oracle(tmp_path_factory, points, fits):
+    base = tmp_path_factory.mktemp("plot")
+    points = points * (1 + 300 // len(points))  # span several row blocks
+    xs, ys = (np.array(v) for v in zip(*points))
+    entry = stats.CorrelationEntry(
+        mean_fit=stats.RegressionResult(fits[0], fits[1], 0.5, len(xs)),
+        std_fit=stats.RegressionResult(fits[2], fits[3], 0.5, len(xs)),
+        bins=None,
+    )
+    stats.write_plot_data_csv(base / "columns.csv", xs, ys, entry)
+    row_loop_plot_data_csv(base / "rows.csv", xs, ys, entry)
+    assert (base / "columns.csv").read_bytes() == (base / "rows.csv").read_bytes()

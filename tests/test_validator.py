@@ -1,5 +1,6 @@
 """Residual reports: self/strict/mixed errors, gradients, disk formats."""
 
+import csv
 import functools
 import math
 
@@ -31,6 +32,21 @@ def dimer(r):
 
 def sym_noise(rng, n, sigma):
     return matcore.symmetrize(rng.standard_normal((n, n))) * sigma
+
+
+def exact_predictor(p):
+    """Predictor that actually solves SCF; the zero-error reference."""
+
+    def predict(g):
+        sol = scf.scf_solve(g, p)
+        return validator.Prediction(sol.hamiltonian, sol.density, source="exact")
+
+    return predict
+
+
+def row(table, b):
+    """Record b of a report table, one value per column."""
+    return tuple(getattr(table, c)[b] for c in validator.REPORT_COLUMNS)
 
 
 # --- self_diis -------------------------------------------------------------------
@@ -90,10 +106,11 @@ def test_full_report_on_label_is_all_zero():
     sol = solved(g)
     pred = validator.Prediction(sol.hamiltonian, sol.density, source="exact")
     rep = validator.full_report(pred, sol, model.Context(g, P), system="self")
-    assert rep.system == "self" and rep.source == "exact"
+    assert len(rep) == 1
+    assert rep.system == ["self"] and rep.source == ["exact"]
     for name in ("self_diis", "strict_diis", "mixed_hd", "mixed_dh",
                  "mae_h", "mae_d", "d_e_total", "d_gap"):
-        assert getattr(rep, name) <= 1e-8
+        assert getattr(rep, name)[0] <= 1e-8
 
 
 def test_full_report_noisy_density_ordering():
@@ -106,12 +123,12 @@ def test_full_report_noisy_density_ordering():
     )
     rep = validator.full_report(pred, sol, model.Context(g, P))
     # Noisy density breaks both the cross residual and the rebuilt-H one...
-    assert rep.mixed_hd > 1e-5
-    assert rep.strict_diis > 1e-5
+    assert rep.mixed_hd[0] > 1e-5
+    assert rep.strict_diis[0] > 1e-5
     # ...while H_pred = H_label against the labeled density stays converged.
-    assert rep.mixed_dh <= 1e-7
-    assert rep.mae_h == 0.0
-    assert rep.mae_d > 0.0
+    assert rep.mixed_dh[0] <= 1e-7
+    assert rep.mae_h[0] == 0.0
+    assert rep.mae_d[0] > 0.0
 
 
 def test_self_diis_monotone_in_noise():
@@ -153,8 +170,8 @@ def test_false_negative_diagonalized_wrong_hamiltonian():
     pred = validator.Prediction(wrong, d_wrong)
     rep = validator.full_report(pred, sol, model.Context(g, P))
     scale = max(1.0, np.linalg.norm(wrong) * np.linalg.norm(sol.overlap))
-    assert rep.self_diis <= 1e-9 * scale
-    assert rep.mae_h > 0.1
+    assert rep.self_diis[0] <= 1e-9 * scale
+    assert rep.mae_h[0] > 0.1
 
 
 @functools.cache
@@ -172,8 +189,8 @@ def _chain_label():
     norm=st.sampled_from(["frobenius", "mae"]),
 )
 def test_stacked_report_equals_separate_reports(sigmas, seed, shared, norm):
-    # One pass over B noisy rows gives, bit for bit, the reports of B
-    # single-record calls on rows drawn from the same streams.
+    # One pass over B noisy rows gives, bit for bit, the one-row tables of
+    # B single-record calls on rows drawn from the same streams.
     g, label = _chain_label()
     ctx = model.Context(g, P)
     sigma_h, sigma_d = zip(*sigmas)
@@ -195,7 +212,8 @@ def test_stacked_report_equals_separate_reports(sigmas, seed, shared, norm):
             label, model.Context(g, P), norm=norm, system=f"r{b}",
         )
         # repr tells every float apart, -0.0 from 0.0 included.
-        assert repr(single) == repr(reports[b])
+        assert len(single) == 1
+        assert repr(row(single, 0)) == repr(row(reports, b))
 
 
 # --- position gradient ---------------------------------------------------------------
@@ -204,7 +222,7 @@ def test_stacked_report_equals_separate_reports(sigmas, seed, shared, norm):
 def test_gradient_of_exact_predictor_is_flat():
     g = dimer(1.5)
     grad = validator.self_diis_position_gradient(
-        g, P, validator.scf_predictor(P)
+        g, P, exact_predictor(P)
     )
     assert np.abs(grad).max() <= 1e-5
 
@@ -252,7 +270,7 @@ def test_gradient_grows_off_training_manifold():
 
 
 def test_scf_predictor_source_tag():
-    pred = validator.scf_predictor(P)(dimer(1.5))
+    pred = exact_predictor(P)(dimer(1.5))
     assert pred.source == "exact"
 
 
@@ -311,18 +329,21 @@ def test_reports_csv_roundtrip(tmp_path):
                              sol.density + sym_noise(rng, 4, 1e-3)),
         sol, model.Context(g, P), system="a",
     )
-    bare = validator.self_report(
-        validator.Prediction(sol.hamiltonian, sol.density), sol.overlap,
-        system="b",
+    # A label-free record: only the self residual is known.
+    bare_self = validator.self_diis(
+        validator.Prediction(sol.hamiltonian, sol.density), sol.overlap
     )
+    nan = np.array([math.nan])
+    bare = validator.ReportTable(["b"], ["external-file"], np.array([bare_self]),
+                                 *[nan] * 7)
     path = tmp_path / "reports.csv"
-    validator.write_reports_csv(path, [full, bare])
+    validator.write_reports_csv(path, validator.ReportTable.concat([full, bare]))
     back = validator.read_reports_csv(path)
-    assert [r.system for r in back] == ["a", "b"]
-    assert back[0].strict_diis == pytest.approx(full.strict_diis, rel=1e-15)
-    assert back[0].d_gap == pytest.approx(full.d_gap, rel=1e-15)
-    assert back[1].strict_diis is None and back[1].mae_h is None
-    assert back[1].self_diis == pytest.approx(bare.self_diis, rel=1e-15)
+    assert back.system == ["a", "b"]
+    assert back.strict_diis[0] == pytest.approx(full.strict_diis[0], rel=1e-15)
+    assert back.d_gap[0] == pytest.approx(full.d_gap[0], rel=1e-15)
+    assert math.isnan(back.strict_diis[1]) and math.isnan(back.mae_h[1])
+    assert back.self_diis[1] == pytest.approx(bare_self, rel=1e-15)
 
     header = path.read_text().splitlines()[0]
     assert header == ",".join(validator.REPORT_COLUMNS)
@@ -333,3 +354,50 @@ def test_reports_csv_rejects_missing_columns(tmp_path):
     path.write_text("system,self_diis\nx,1.0\n")
     with pytest.raises(FileFormatError):
         validator.read_reports_csv(path)
+
+
+def _fmt_field(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def row_loop_reports_csv(path, records):
+    """Reference writer: one row per record, None for a missing value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(validator.REPORT_COLUMNS)
+        for record in records:
+            writer.writerow([_fmt_field(v) for v in record])
+
+
+_report_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(
+    st.tuples(st.text('ab ,"x:0', max_size=6), st.text('ab ,"x', max_size=4),
+              *[_report_floats] * 8),
+    min_size=1, max_size=12,
+))
+def test_reports_csv_matches_row_oracle(tmp_path_factory, records):
+    # The column writer gives the bytes of a row loop, NaN as a missing field.
+    base = tmp_path_factory.mktemp("reports")
+    records = records * (1 + 300 // len(records))  # span several row blocks
+    system, source, *values = zip(*records)
+    table = validator.ReportTable(list(system), list(source),
+                                  *(np.array(v) for v in values))
+    validator.write_reports_csv(base / "columns.csv", table)
+    row_loop_reports_csv(base / "rows.csv", [
+        record[:2] + tuple(None if math.isnan(v) else v for v in record[2:])
+        for record in records
+    ])
+    assert (base / "columns.csv").read_bytes() == (base / "rows.csv").read_bytes()
+    back = validator.read_reports_csv(base / "columns.csv")
+    assert repr([row(back, b) for b in range(len(back))]) == repr(
+        [row(table, b) for b in range(len(table))])
