@@ -40,12 +40,10 @@ from .model import (
     build_h0,
     build_overlap,
     effective_hamiltonian,
-    energy,
-    forces,
     load_geometry,
     mulliken_charges,
 )
-from .scf import ScfConfig, scf_solve, scf_trace
+from .scf import ScfConfig, scf_solve
 from .validator import (
     Prediction,
     ReportTable,
@@ -55,7 +53,6 @@ from .validator import (
 )
 from .surrogate import (
     Dataset,
-    DatasetEntry,
     KernelModel,
     generate_dataset,
     kernel_fit,

@@ -10,6 +10,8 @@ result can be reproduced from the artifact directory alone.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -58,7 +60,13 @@ def _scf_config(cfg: Mapping, norm: str) -> scf.ScfConfig:
     """ScfConfig from the ``scf.<field>`` keys; absent keys keep defaults."""
     base = scf.ScfConfig(norm=norm)
     keys = [f.name for f in fields(base) if f"scf.{f.name}" in cfg and f.name != "norm"]
-    return replace(base, **{k: type(getattr(base, k))(cfg[f"scf.{k}"]) for k in keys})
+    typed = {}
+    for k in keys:
+        value = cfg[f"scf.{k}"]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"scf.{k} must be finite")
+        typed[k] = type(getattr(base, k))(value)
+    return replace(base, **typed)
 
 
 def _settings(args) -> tuple:
@@ -118,7 +126,7 @@ def _floats(text: str) -> list:
 # scf
 
 
-def _write_solution(out: Path, sol: model.ScfSolution, trace, g) -> None:
+def _write_solution(out: Path, sol: model.ScfSolution, g) -> None:
     matcore.write_scvm(out / "H.scvm", sol.hamiltonian)
     matcore.write_scvm(out / "D.scvm", sol.density)
     matcore.write_scvm(out / "S.scvm", sol.overlap)
@@ -130,7 +138,7 @@ def _write_solution(out: Path, sol: model.ScfSolution, trace, g) -> None:
         fh.write(f"e_total = {sol.e_total:.17g}\n")
         fh.write(f"gap = {sol.gap:.17g}\n")
         fh.write(f"strict_diis = {sol.strict_diis:.17g}\n")
-    scf.write_trace_csv(out / "trace.csv", trace)
+    scf.write_trace_csv(out / "trace.csv", sol.trace)
 
 
 def cmd_scf(args) -> int:
@@ -141,13 +149,13 @@ def cmd_scf(args) -> int:
         out, _common_entries(args, norm, p, scf_cfg) + [("geometry", args.geometry)]
     )
     try:
-        sol, trace = scf.scf_trace(g, p, scf_cfg)
+        sol = scf.scf_solve(g, p, scf_cfg)
     except NoConvergence as exc:
         print(f"scf: {exc}", file=sys.stderr)
         if exc.best is not None:
-            _write_solution(out, exc.best, exc.trace or [], g)
+            _write_solution(out, exc.best, g)
         return EXIT_DOMAIN
-    _write_solution(out, sol, trace, g)
+    _write_solution(out, sol, g)
     return EXIT_OK
 
 
@@ -228,8 +236,9 @@ def cmd_validate(args) -> int:
         ("validate.predictor", args.predictor),
     ]
 
-    # predict(i) gives entry i's records as one stacked Prediction and
-    # their system names.
+    # predict(i, g, label) gives the records of entry i, of geometry g and
+    # labeled solution label, as one stacked Prediction and their system
+    # names.
     if args.predictor == "oracle-noise":
         sigmas_h = _floats(args.sigma)
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
@@ -243,10 +252,10 @@ def cmd_validate(args) -> int:
         ]
         rows = [(j, k) for j in range(len(sigmas_h)) for k in range(args.repeat)]
 
-        def predict(i):
+        def predict(i, g, label):
             # One stream per row, whatever the evaluation order.
             pred = surrogate.oracle_noise_predict(
-                ds.entries[i].solution,
+                label,
                 [sigmas_h[j] for j, _ in rows],
                 [sigmas_d[j] for j, _ in rows],
                 [substream(args.seed, "oracle-noise", i, j, k) for j, k in rows],
@@ -261,8 +270,8 @@ def cmd_validate(args) -> int:
             ("validate.k", km.k_neighbors),
         ]
 
-        def predict(i):
-            pred = surrogate.kernel_predict(km, ds.entries[i].geometry)
+        def predict(i, g, label):
+            pred = surrogate.kernel_predict(km, g)
             stack = validator.Prediction(pred.h_pred[None], pred.d_pred[None],
                                          pred.source)
             return stack, [f"{i:04d}"]
@@ -273,7 +282,7 @@ def cmd_validate(args) -> int:
         frames, stacks = surrogate._read_stack(args.pred, "HD")
         _check_frames_match(frames, ds, args.pred)
 
-        def predict(i):
+        def predict(i, g, label):
             pred = validator.Prediction(stacks["H"][i:i + 1], stacks["D"][i:i + 1])
             return pred, [f"{i:04d}"]
     else:  # pragma: no cover - argparse choices guard this
@@ -281,11 +290,11 @@ def cmd_validate(args) -> int:
 
     # One stacked pass per entry, over one context of its geometry.
     tables = []
-    for i, entry in enumerate(ds.entries):
-        pred, systems = predict(i)
+    for i in range(len(ds)):
+        g, label = ds.geometry(i), ds.label(i)
+        pred, systems = predict(i, g, label)
         tables.append(validator.full_report(
-            pred, entry.solution, model.Context(entry.geometry, p),
-            norm=norm, system=systems,
+            pred, label, model.Context(g, p), norm=norm, system=systems,
         ))
     reports = validator.ReportTable.concat(tables)
 
@@ -456,7 +465,9 @@ def cmd_md(args) -> int:
 # Parser assembly.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The scval parser, built once per process and shared by every call."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int, default=0,

@@ -22,12 +22,12 @@ class FermiDegeneracy(ScvalError):
 
 
 class NoConvergence(ScvalError):
-    """SCF ran out of iterations.  Carries the best iterate seen so far."""
+    """SCF ran out of iterations.  Carries the best iterate seen so far,
+    whose ``trace`` is that of the whole run."""
 
-    def __init__(self, message, best=None, trace=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-        self.trace = trace
 
 
 class GenerationExhausted(ScvalError):

@@ -59,16 +59,19 @@ class MdConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        if not all(map(math.isfinite, (self.dt, self.t_target))):
+            raise ValueError("dt and t_target must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.t_target < 0:
             raise ValueError("t_target must be non-negative")
-        if not (math.isinf(self.tau) or self.tau >= self.dt):
+        if not (self.tau == math.inf or self.tau >= self.dt):
             raise ValueError("tau must be >= dt (or inf for NVE)")
         if self.mode == "predictor_corrector":
-            if self.threshold is None or self.threshold < 0:
+            # NaN fails every comparison; inf accepts every prediction.
+            if self.threshold is None or not self.threshold >= 0:
                 raise ValueError(
                     "predictor_corrector needs a non-negative threshold"
                 )
@@ -150,8 +153,8 @@ def run_md(
     if masses is None:
         masses = np.full(g0.n_atoms, model._DEFAULT_MASS)
     masses = np.asarray(masses, dtype=float)
-    if masses.shape != (g0.n_atoms,) or np.any(masses <= 0):
-        raise ValueError("masses must be positive, one per atom")
+    if masses.shape != (g0.n_atoms,) or not np.all((masses > 0) & (masses < np.inf)):
+        raise ValueError("masses must be positive and finite, one per atom")
 
     warm = {"d": None}
 

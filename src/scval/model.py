@@ -13,15 +13,18 @@ H0, U, q_ref, E_rep), and its methods are the one implementation of
 H(D), E(D) and the forces.  ``Context.response(d)`` takes the Mulliken
 charges q of D once and returns (q, H(D), E(D)); the SCF loop and the
 validator call it once per density, and ``effective_hamiltonian``,
-``electronic_energy`` and ``energy`` are views of it.  Callers that
-visit many densities on one geometry build it once; the module
-functions of the same names are one-line calls through a fresh context.
+``electronic_energy`` and ``energy`` are views of it.  Build one per
+geometry and call its methods.  The module functions
+``effective_hamiltonian`` and ``electronic_energy`` are one-line calls
+through a fresh context; no pipeline calls them, but they stay because
+``perfbench/tracing.py`` wraps them by name.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
@@ -41,9 +44,7 @@ __all__ = [
     "mulliken_charges",
     "repulsion_energy",
     "electronic_energy",
-    "energy",
     "effective_hamiltonian",
-    "forces",
     "frontier_gap",
     "load_geometry",
     "dump_geometry",
@@ -134,6 +135,10 @@ def _per_atom(value, species, name) -> np.ndarray:
     return np.full(len(species), float(value))
 
 
+_SPECIES_FIELDS = ("hubbard_u", "eps0", "q_ref")
+_SCALAR_FIELDS = ("t0", "beta", "alpha", "r0", "rep_a", "rep_rho")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants; hubbard_u / eps0 / q_ref may be per-species maps."""
@@ -149,13 +154,19 @@ class ModelParams:
     rep_rho: float = 0.25  # A, repulsion range
 
     def __post_init__(self):
+        for name in _SCALAR_FIELDS + _SPECIES_FIELDS:
+            if not all(math.isfinite(float(v)) for v in self._values(name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("t0", "beta", "alpha", "rep_rho"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        u = self.hubbard_u
-        values = u.values() if isinstance(u, Mapping) else (u,)
-        if any(float(v) < 0 for v in values):
+        if any(float(v) < 0 for v in self._values("hubbard_u")):
             raise ValueError("hubbard_u must be non-negative")
+
+    def _values(self, name) -> tuple:
+        """The one value of a field, or every value of a per-species map."""
+        value = getattr(self, name)
+        return tuple(value.values()) if isinstance(value, Mapping) else (value,)
 
     def hubbard_for(self, species) -> np.ndarray:
         return _per_atom(self.hubbard_u, species, "hubbard_u")
@@ -303,24 +314,18 @@ def electronic_energy(d, g: Geometry, p: ModelParams) -> float:
     return Context(g, p).electronic_energy(d)
 
 
-def energy(d, g: Geometry, p: ModelParams) -> float:
-    return Context(g, p).energy(d)
-
-
 def effective_hamiltonian(d, g: Geometry, p: ModelParams) -> np.ndarray:
     return Context(g, p).effective_hamiltonian(d)
-
-
-def forces(d, g: Geometry, p: ModelParams, h=None) -> np.ndarray:
-    return Context(g, p).forces(d, h)
 
 
 @dataclass
 class ScfSolution:
     """Converged (or best-effort) self-consistent pair with bookkeeping.
 
-    ``coeffs`` and ``energies``, the eigenpairs of (H, S), are solved on
-    first read; no code in the package reads them.
+    ``trace`` holds one (iteration, residual, e_total) tuple per
+    iteration of the solve that produced it, in order.  ``coeffs`` and
+    ``energies``, the eigenpairs of (H, S), are solved on first read; no
+    code in the package reads them.
     """
 
     hamiltonian: np.ndarray
@@ -331,6 +336,7 @@ class ScfSolution:
     strict_diis: float
     iterations: int
     converged: bool
+    trace: list = field(default_factory=list)
 
     @cached_property
     def _eig(self) -> matcore.EigSolution:
@@ -534,10 +540,6 @@ def parse_key_values(text: str, path="<string>") -> dict:
 
 def read_config(path) -> dict:
     return parse_key_values(read_text(path), path=str(path))
-
-
-_SPECIES_FIELDS = ("hubbard_u", "eps0", "q_ref")
-_SCALAR_FIELDS = ("t0", "beta", "alpha", "r0", "rep_a", "rep_rho")
 
 
 def model_params_from_config(cfg: Mapping) -> ModelParams:

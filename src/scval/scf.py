@@ -20,6 +20,7 @@ E(D) of the new density from a single Mulliken pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import NoConvergence
 __all__ = [
     "ScfConfig",
     "scf_solve",
-    "scf_trace",
     "write_trace_csv",
 ]
 
@@ -62,12 +62,13 @@ class ScfConfig:
             raise ValueError("damping must be in (0, 1]")
         if self.diis_depth < 2:
             raise ValueError("diis_depth must be at least 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # NaN fails too
+            raise ValueError("tol must be positive and finite")
         matcore.resolve_norm(self.norm)
 
 
-def _package(ctx, d, h, err, e_total, iterations, converged) -> model.ScfSolution:
+def _package(ctx, d, h, err, e_total, iterations, converged,
+             trace) -> model.ScfSolution:
     return model.ScfSolution(
         hamiltonian=h,
         density=d,
@@ -77,10 +78,22 @@ def _package(ctx, d, h, err, e_total, iterations, converged) -> model.ScfSolutio
         strict_diis=err,
         iterations=iterations,
         converged=converged,
+        trace=trace,
     )
 
 
-def _run(g: model.Geometry, p: model.ModelParams, cfg: ScfConfig, d0=None):
+def scf_solve(
+    g: model.Geometry, p: model.ModelParams, cfg: ScfConfig | None = None, d0=None
+) -> model.ScfSolution:
+    """Drive H(D) / D(H) to self-consistency; see :class:`ScfConfig`.
+
+    Starts from H0 and the reference charges, or from H(``d0``) when a
+    density is given.  Returns a solution whose Hamiltonian is H(D) of
+    the final density, so H = effective_hamiltonian(D) holds exactly,
+    and whose ``trace`` records every iteration.  Raises NoConvergence
+    (carrying the best iterate) when the budget runs out.
+    """
+    cfg = cfg or ScfConfig()
     ctx = model.Context(g, p)
     beta, n = cfg.damping, g.n_atoms
     if d0 is not None:
@@ -105,7 +118,7 @@ def _run(g: model.Geometry, p: model.ModelParams, cfg: ScfConfig, d0=None):
         if best is None or err < best[0]:
             best = (err, d, h, e_total, it)
         if err <= cfg.tol:
-            return _package(ctx, d, h, err, e_total, it, True), trace
+            return _package(ctx, d, h, err, e_total, it, True, trace)
         if k == cfg.diis_depth:
             for a in (res_k, h_k, q_k):
                 a[:-1] = a[1:]
@@ -127,37 +140,12 @@ def _run(g: model.Geometry, p: model.ModelParams, cfg: ScfConfig, d0=None):
         q_in = (c[:, None] * q_k[lo:k]).sum(axis=0)
 
     err, d, h, e_total, it = best
-    sol = _package(ctx, d, h, err, e_total, cfg.max_iter, False)
+    sol = _package(ctx, d, h, err, e_total, cfg.max_iter, False, trace)
     raise NoConvergence(
         f"no convergence after {cfg.max_iter} iterations "
         f"(best residual {err:.3e} at iteration {it})",
         best=sol,
-        trace=trace,
     )
-
-
-def scf_solve(
-    g: model.Geometry, p: model.ModelParams, cfg: ScfConfig | None = None, d0=None
-) -> model.ScfSolution:
-    """Drive H(D) / D(H) to self-consistency; see :class:`ScfConfig`.
-
-    Returns a solution whose Hamiltonian is H(D) of the final density,
-    so H = effective_hamiltonian(D) holds exactly.  Raises
-    NoConvergence (carrying the best iterate) when the budget runs out.
-    """
-    sol, _ = _run(g, p, cfg or ScfConfig(), d0=d0)
-    return sol
-
-
-def scf_trace(
-    g: model.Geometry, p: model.ModelParams, cfg: ScfConfig | None = None, d0=None
-) -> tuple:
-    """Same run as scf_solve, returning (solution, trace).
-
-    The trace is a list of (iteration, residual, e_total) tuples, one
-    per iteration in order.
-    """
-    return _run(g, p, cfg or ScfConfig(), d0=d0)
 
 
 def write_trace_csv(path, trace) -> None:

@@ -109,18 +109,25 @@ def bin_records(x, y, n_bins: int = 20, scheme: str = "equal_count") -> BinnedSe
     counts = np.zeros(n_eff, dtype=int)
     means = np.full(n_eff, np.nan)
     stds = np.full(n_eff, np.nan)
-    for b in range(n_eff):
-        sel = y[idx == b]
-        counts[b] = sel.size
-        if sel.size:
-            means[b] = sel.mean()
-        if sel.size >= 2:
-            stds[b] = sel.std(ddof=1)
+    # A statistic too large for a float comes out inf, and linfit and
+    # the fits' bin filters reject it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(n_eff):
+            sel = y[idx == b]
+            counts[b] = sel.size
+            if sel.size:
+                means[b] = sel.mean()
+            if sel.size >= 2:
+                stds[b] = sel.std(ddof=1)
     return BinnedSeries(edges=edges, counts=counts, means=means, stds=stds)
 
 
 def linfit(x, y) -> RegressionResult:
-    """Ordinary least squares with R^2 = 1 - SS_res/SS_tot."""
+    """Ordinary least squares with R^2 = 1 - SS_res/SS_tot.
+
+    Values so large that a sum of the fit overflows raise
+    InsufficientData, as non-finite values do.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -131,18 +138,23 @@ def linfit(x, y) -> RegressionResult:
     order = np.lexsort((y, x))  # order-independent sums
     x = x[order]
     y = y[order]
-    xm = x.mean()
-    ym = y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0.0:
-        raise DegenerateInput("condition values are all identical")
-    slope = float(((x - xm) * (y - ym)).sum()) / sxx
-    intercept = ym - slope * xm
-    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
-    ss_tot = float(((y - ym) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x.mean()
+        ym = y.mean()
+        sxx = float(((x - xm) ** 2).sum())
+        if sxx == 0.0:
+            raise DegenerateInput("condition values are all identical")
+        slope = float(((x - xm) * (y - ym)).sum()) / sxx
+        intercept = ym - slope * xm
+        ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+        ss_tot = float(((y - ym) ** 2).sum())
+        y_scale = np.float64(max(1.0, float(np.abs(y).max()))) ** 2
+    if not np.isfinite([xm, ym, sxx, slope, intercept, ss_res, ss_tot]).all():
+        raise InsufficientData(
+            f"least-squares sums of {n} points overflow or are not finite")
     if ss_tot == 0.0:
         # A constant target is fit exactly by the constant line.
-        if ss_res > 1e-12 * max(1.0, float(np.abs(y).max())) ** 2 * n:
+        if ss_res > 1e-12 * y_scale * n:
             raise DegenerateInput("zero target variance with nonzero residual")
         r2 = 1.0
     else:

@@ -11,8 +11,8 @@ the validator is supposed to catch.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .rng import substream
 from .validator import Prediction
 
 __all__ = [
-    "DatasetEntry",
     "Dataset",
     "generate_dataset",
     "oracle_noise_predict",
@@ -47,12 +46,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-@dataclass
-class DatasetEntry:
-    geometry: model.Geometry
-    solution: model.ScfSolution
-
 
 @dataclass
 class Dataset:
@@ -75,41 +68,16 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @classmethod
-    def from_entries(cls, entries, metadata=None) -> "Dataset":
-        """Stack per-entry (geometry, solution) pairs of one system."""
-        if not entries:
-            raise EmptyDataset("dataset has no entries")
-        ref = entries[0].geometry
-        for i, entry in enumerate(entries):
-            g = entry.geometry
-            if g.species != ref.species or g.n_electrons != ref.n_electrons:
-                raise SpeciesMismatch(
-                    f"entry {i} species/electron count differs from entry 0"
-                )
-        sols = [e.solution for e in entries]
-        return cls(
-            ref.species, ref.n_electrons,
-            np.stack([e.geometry.positions for e in entries]),
-            **{name: np.stack([getattr(s, name) for s in sols])
-               for name in _KINDS.values()},
-            labels={k: np.array([getattr(s, k) for s in sols]) for k in _LABELS},
-            metadata=dict(metadata or {}),
-        )
+    def geometry(self, i) -> model.Geometry:
+        """The geometry of entry ``i``."""
+        return model.Geometry(self.species, self.positions[i], self.n_electrons)
 
-    @cached_property
-    def entries(self) -> list:
-        """Per-entry view of the stacks, built on first read."""
-        return [
-            DatasetEntry(
-                model.Geometry(self.species, self.positions[i], self.n_electrons),
-                model.ScfSolution(
-                    self.hamiltonian[i], self.density[i], self.overlap[i],
-                    **{k: v[i].item() for k, v in self.labels.items()},
-                ),
-            )
-            for i in range(len(self))
-        ]
+    def label(self, i) -> model.ScfSolution:
+        """The labeled solution of entry ``i``; its matrices are views."""
+        return model.ScfSolution(
+            self.hamiltonian[i], self.density[i], self.overlap[i],
+            **{k: v[i].item() for k, v in self.labels.items()},
+        )
 
 
 _SKIPPABLE = (
@@ -148,14 +116,22 @@ def generate_dataset(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not (math.isfinite(amplitude) and math.isfinite(temperature)):
+        raise ValueError("amplitude and temperature must be finite")
     scf_cfg = scf_cfg or scf.ScfConfig()
-    entries = []
+    # One row per accepted solve: positions, H, D, S, then the _LABELS.
+    # Keeping these fields, not the solution, lets each trace go.
+    rows = []
     attempts = 0
     max_attempts = 10 * n
 
+    def accept(g, sol):
+        rows.append((g.positions, sol.hamiltonian, sol.density, sol.overlap,
+                     *(getattr(sol, k) for k in _LABELS)))
+
     if mode == "random_perturb":
         rng = substream(seed, "dataset")
-        while len(entries) < n and attempts < max_attempts:
+        while len(rows) < n and attempts < max_attempts:
             attempts += 1
             disp = rng.uniform(-amplitude, amplitude, size=(seed_geometry.n_atoms, 3))
             try:
@@ -164,7 +140,7 @@ def generate_dataset(
             except _SKIPPABLE as exc:
                 log.warning("skipping sample %d: %s", attempts, exc)
                 continue
-            entries.append(DatasetEntry(g, sol))
+            accept(g, sol)
     elif mode == "md_sample":
         from . import mdsim
 
@@ -179,7 +155,7 @@ def generate_dataset(
         result = mdsim.run_md(seed_geometry, p, cfg)
         idx = md_burnin
         warm = None
-        while len(entries) < n and attempts < max_attempts:
+        while len(rows) < n and attempts < max_attempts:
             if idx >= len(result.frames):
                 break
             attempts += 1
@@ -193,21 +169,21 @@ def generate_dataset(
                 log.warning("skipping frame %d: %s", frame.step, exc)
                 idx += 1  # replacement: walk to the next frame
                 continue
-            entries.append(DatasetEntry(g, sol))
+            accept(g, sol)
             warm = sol.density
             idx += md_stride
-        if len(entries) < n:
+        if len(rows) < n:
             status = result.aborted or ("diverged" if result.diverged else "ok")
             raise GenerationExhausted(
-                f"collected {len(entries)}/{n} samples; sampling trajectory "
+                f"collected {len(rows)}/{n} samples; sampling trajectory "
                 f"gave {len(result.frames)} frames ({status})"
             )
     else:
         raise ValueError(f"unknown generation mode {mode!r}")
 
-    if len(entries) < n:
+    if len(rows) < n:
         raise GenerationExhausted(
-            f"collected {len(entries)}/{n} samples after {attempts} attempts"
+            f"collected {len(rows)}/{n} samples after {attempts} attempts"
         )
     metadata = {
         "mode": mode,
@@ -216,7 +192,13 @@ def generate_dataset(
         "amplitude": float(amplitude),
         "temperature": float(temperature),
     }
-    return Dataset.from_entries(entries, metadata)
+    positions, h, d, s, *labels = zip(*rows)
+    return Dataset(
+        seed_geometry.species, seed_geometry.n_electrons, np.stack(positions),
+        np.stack(h), np.stack(d), np.stack(s),
+        labels={k: np.array(v) for k, v in zip(_LABELS, labels)},
+        metadata=metadata,
+    )
 
 
 def oracle_noise_predict(

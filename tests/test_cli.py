@@ -79,6 +79,47 @@ def test_gated_md_without_threshold_exits_one(work, tmp_path):
     assert code == 1
 
 
+_EXACT_MD = ["md", "{ring}", "--mode", "exact", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv, config, setting", [
+    (["scf", "{ring}"], "rep_a = inf", "rep_a"),
+    (["scf", "{ring}"], "t0 = nan", "t0"),
+    (["scf", "{ring}"], "eps0.B = -inf", "eps0"),
+    (["scf", "{ring}"], "scf.tol = nan", "scf.tol"),
+    (["scf", "{ring}"], "scf.max_iter = inf", "scf.max_iter"),
+    (_EXACT_MD + ["--t-target", "nan"], "", "t_target"),
+    (_EXACT_MD + ["--t-target", "300", "--dt", "inf"], "", "dt"),
+    (_EXACT_MD + ["--t-target", "300"], "mass = nan", "masses"),
+    (["md", "{ring}", "--mode", "predictor_corrector", "--train", "{ds}",
+      "--threshold", "nan", "--steps", "2", "--t-target", "300"], "", "threshold"),
+    (["gen", "{ring}", "--n", "2", "--amplitude", "nan"], "", "amplitude"),
+])
+def test_non_finite_settings_exit_one(work, tmp_path, capsys, argv, config,
+                                      setting):
+    argv = [a.format(ring=work["ring"], ds=work["ds"]) for a in argv]
+    if config:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert setting in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(work, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    blobs = []
+    for name, extra in (("a", []), ("b", ["--sigma-d", "0.02", "--shared-noise",
+                                          "--norm", "mae"]), ("c", [])):
+        out = tmp_path / name
+        assert cli.main(["validate", "--dataset", str(work["ds"]),
+                         "--predictor", "oracle-noise", "--sigma", "0.01",
+                         "--seed", "2", "--out", str(out)] + extra) == 0
+        blobs.append([(out / f).read_bytes()
+                      for f in ("reports.csv", "resolved_config.txt")])
+    assert blobs[2] == blobs[0]
+    assert blobs[1][0] != blobs[0][0]
+
+
 # --- scf ---------------------------------------------------------------------------
 
 
@@ -192,6 +233,21 @@ def test_stats_rejects_non_finite_values(reports_csv, tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_stats_rejects_overflowing_values(reports_csv, tmp_path, capsys):
+    # Finite but so large that the fit's sums overflow: exit 2, not a fit.
+    lines = reports_csv.decode().splitlines(keepends=True)
+    col = validator.REPORT_COLUMNS.index("mae_h")
+    for k in (5, 30, 60):
+        fields = lines[k].split(",")
+        fields[col] = "1e300"
+        lines[k] = ",".join(fields)
+    path = tmp_path / "reports.csv"
+    path.write_text("".join(lines))
+    assert _stats(path, tmp_path / "st") == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "st" / "summary.csv").exists()
+
+
 def test_stats_rejects_non_utf8_reports(reports_csv, tmp_path, capsys):
     path = tmp_path / "reports.csv"
     path.write_bytes(reports_csv[:200] + b"\xff" + reports_csv[200:])
@@ -247,6 +303,59 @@ def test_mutated_reports_give_typed_errors(reports_csv, work, mutations):
     assert _stats(path, path.parent / "st") in (0, 1, 2)
 
 
+_CONFIG = """# model and solver settings
+t0 = 2.5
+alpha = 0.7
+eps0.B = -2.0
+hubbard_u = 8
+scf.max_iter = 50
+scf.diis_depth = 4
+scf.tol = 1e-9
+mass.B = 10.811
+"""
+
+_CONFIG_MUTATION = st.tuples(
+    st.sampled_from(["value", "drop_equals", "insert"]),
+    st.integers(0, 2**31),
+    st.sampled_from(["nan", "inf", "-inf", "zz", "", "\x00"]),
+)
+
+
+def _mutate_config(text, kind, where, token):
+    lines = text.splitlines(keepends=True)
+    k = where % len(lines)
+    if kind == "value" and "=" in lines[k]:
+        lines[k] = lines[k].split("=", 1)[0] + "= " + token + "\n"
+    elif kind == "drop_equals":
+        lines[k] = lines[k].replace("=", " ", 1)
+    elif kind == "insert":
+        at = where % (len(lines[k]) + 1)
+        lines[k] = lines[k][:at] + token + lines[k][at:]
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutations=st.lists(_CONFIG_MUTATION, min_size=1, max_size=3))
+def test_mutated_config_gives_typed_errors(mutations):
+    # A hostile config is parsed or rejected with FileFormatError; what it
+    # parses to becomes settings or a ValueError, the CLI's exit 1.  The
+    # tokens hold no large numbers, so no depth or iteration key is huge.
+    text = _CONFIG
+    for mutation in mutations:
+        text = _mutate_config(text, *mutation)
+    try:
+        cfg = model.parse_key_values(text)
+    except FileFormatError:
+        return
+    assert all(isinstance(k, str) for k in cfg)
+    try:
+        model.model_params_from_config(cfg)
+        model.masses_from_config(cfg, ("A", "B"))
+        cli._scf_config(cfg, "frobenius")
+    except ValueError:
+        pass
+
+
 def _validate_external(work, pred, out):
     return cli.main(["validate", "--dataset", str(work["ds"]),
                      "--predictor", "external-file", "--pred", str(pred),
@@ -270,10 +379,11 @@ def test_external_labels_validate_to_zero_error(work, tmp_path):
 
 @pytest.mark.parametrize("case", ["one frame too few", "one atom moved"])
 def test_external_bundle_must_match_dataset(work, tmp_path, capsys, case):
-    entries = surrogate.load_dataset(work["ds"]).entries
-    geometries = [e.geometry for e in entries]
+    ds = surrogate.load_dataset(work["ds"])
+    geometries = [ds.geometry(i) for i in range(len(ds))]
+    m = len(ds)
     if case == "one frame too few":
-        entries, geometries = entries[:-1], geometries[:-1]
+        m, geometries = m - 1, geometries[:-1]
         message = "11 frames for 12 entries"
     else:
         pos = geometries[5].positions.copy()
@@ -282,8 +392,7 @@ def test_external_bundle_must_match_dataset(work, tmp_path, capsys, case):
         message = "frame 5 is not the geometry of entry 5"
     frames = map(model.format_xyz_frame, geometries)
     surrogate._write_stack(tmp_path / "pred", frames, {
-        "H": [e.solution.hamiltonian for e in entries],
-        "D": [e.solution.density for e in entries],
+        "H": ds.hamiltonian[:m], "D": ds.density[:m],
     })
     assert _validate_external(work, tmp_path / "pred", tmp_path / "val") == 1
     assert message in capsys.readouterr().err

@@ -2,9 +2,13 @@
 
 import math
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scval import matcore
 from scval.errors import (
@@ -329,3 +333,48 @@ def test_scvm_rejects_truncation(tmp_path):
     path.write_bytes(raw[:10])
     with pytest.raises(FileFormatError):
         matcore.read_scvm(path)
+
+
+@pytest.fixture(scope="module")
+def scvm_bytes(tmp_path_factory):
+    """A real (12, 4) .scvm file, as a 3-entry stack of 4x4 matrices is."""
+    path = tmp_path_factory.mktemp("scvm") / "H.scvm"
+    matcore.write_scvm(path, np.random.default_rng(5).standard_normal((12, 4)))
+    return path.read_bytes()
+
+
+_SCVM_MUTATION = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 3),
+              st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1))),
+    st.tuples(st.just("truncate"), st.integers(0, 2**31)),
+    st.tuples(st.just("extend"), st.integers(1, 24)),
+    st.tuples(st.just("swap")),
+)
+
+
+def _mutate_scvm(data, kind, *args):
+    if kind == "field":
+        k, value = args
+        return data[:4 * k] + value.to_bytes(4, "little") + data[4 * k + 4:]
+    if kind == "truncate":
+        return data[:args[0] % (len(data) + 1)]
+    if kind == "extend":
+        return data + b"\x7f" * args[0]
+    return data[:8] + data[12:16] + data[8:12] + data[16:]  # rows <-> cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutations=st.lists(_SCVM_MUTATION, min_size=1, max_size=3))
+def test_mutated_scvm_is_read_as_its_header_says_or_rejected(
+        scvm_bytes, tmp_path_factory, mutations):
+    data = scvm_bytes
+    for mutation in mutations:
+        data = _mutate_scvm(data, *mutation)
+    path = tmp_path_factory.getbasetemp() / "fuzz.scvm"
+    path.write_bytes(data)
+    try:
+        m = matcore.read_scvm(path)
+    except FileFormatError:
+        return
+    rows, cols = struct.unpack_from("<II", data, 8)
+    assert m.shape == (rows, cols) and m.dtype == np.float64

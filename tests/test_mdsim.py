@@ -35,7 +35,7 @@ def kernel_predictor(seed_geometry, n=20, seed=21, k=4):
 
 def exact_forces(g, p=P):
     sol = scf.scf_solve(g, p)
-    return model.forces(sol.density, g, p, h=sol.hamiltonian)
+    return model.Context(g, p).forces(sol.density, h=sol.hamiltonian)
 
 
 def test_repulsion_forces_match_finite_differences():
@@ -53,7 +53,7 @@ def test_repulsion_forces_match_finite_differences():
                 total += P.rep_a * math.exp(-r / P.rep_rho)
         return total
 
-    analytic = model.forces(np.zeros((5, 5)), g, P)
+    analytic = model.Context(g, P).forces(np.zeros((5, 5)))
     h = 1e-6
     for i in range(5):
         for a in range(3):
@@ -70,7 +70,7 @@ def test_zero_density_forces_are_pure_repulsion():
     zeros = np.zeros((3, 3))
     np.testing.assert_array_equal(
         mdsim.forces_surrogate(model.Context(g, P), Prediction(zeros, zeros)),
-        model.forces(zeros, g, P),
+        model.Context(g, P).forces(zeros),
     )
 
 

@@ -154,7 +154,7 @@ def test_mulliken_sum_equals_trace():
 def test_energy_single_atom_hand_value():
     g = model.Geometry(("A",), [[0.0, 0.0, 0.0]], 2)
     p = model.ModelParams(eps0=-5.0, q_ref=2.0, hubbard_u=7.0)
-    assert model.energy(np.array([[2.0]]), g, p) == pytest.approx(-10.0)
+    assert model.Context(g, p).energy(np.array([[2.0]])) == pytest.approx(-10.0)
 
 
 def test_energy_reduces_to_band_term():
@@ -163,7 +163,7 @@ def test_energy_reduces_to_band_term():
     p = model.ModelParams(hubbard_u=0.0, rep_a=1e-300)
     d = matcore.symmetrize(rng.standard_normal((5, 5)))
     h0 = model.build_h0(g, p)
-    assert model.energy(d, g, p) == pytest.approx(np.trace(d @ h0), rel=1e-12)
+    assert model.Context(g, p).energy(d) == pytest.approx(np.trace(d @ h0), rel=1e-12)
 
 
 def test_repulsion_energy_pairwise():
@@ -195,6 +195,7 @@ def test_effective_hamiltonian_single_atom_hand_value():
 
 def fd_energy_gradient(d, g, p, step=1e-5):
     """Symmetrized central difference of energy() w.r.t. each D entry."""
+    ctx = model.Context(g, p)
     n = d.shape[0]
     grad = np.zeros((n, n))
     for i in range(n):
@@ -203,9 +204,7 @@ def fd_energy_gradient(d, g, p, step=1e-5):
             dp[i, j] += step
             dm = d.copy()
             dm[i, j] -= step
-            grad[i, j] = (model.energy(dp, g, p) - model.energy(dm, g, p)) / (
-                2.0 * step
-            )
+            grad[i, j] = (ctx.energy(dp) - ctx.energy(dm)) / (2.0 * step)
     return matcore.symmetrize(grad)
 
 
@@ -256,8 +255,8 @@ def test_translation_invariance():
                                model.build_overlap(g, p), atol=1e-12)
     np.testing.assert_allclose(model.build_h0(g2, p),
                                model.build_h0(g, p), atol=1e-12)
-    assert model.energy(d, g2, p) == pytest.approx(model.energy(d, g, p),
-                                                    abs=1e-12)
+    assert model.Context(g2, p).energy(d) == pytest.approx(
+        model.Context(g, p).energy(d), abs=1e-12)
 
 
 def test_rotation_invariance():
@@ -276,8 +275,8 @@ def test_rotation_invariance():
                                model.build_overlap(g, p), atol=1e-10)
     np.testing.assert_allclose(model.build_h0(g2, p),
                                model.build_h0(g, p), atol=1e-10)
-    assert model.energy(d, g2, p) == pytest.approx(model.energy(d, g, p),
-                                                    abs=1e-10)
+    assert model.Context(g2, p).energy(d) == pytest.approx(
+        model.Context(g, p).energy(d), abs=1e-10)
 
 
 def test_permutation_equivariance():
@@ -294,8 +293,8 @@ def test_permutation_equivariance():
     np.testing.assert_allclose(model.build_h0(g2, p),
                                h0[np.ix_(perm, perm)], atol=1e-14)
     d = matcore.symmetrize(rng.standard_normal((5, 5)))
-    assert model.energy(d[np.ix_(perm, perm)], g2, p) == pytest.approx(
-        model.energy(d, g, p), abs=1e-12
+    assert model.Context(g2, p).energy(d[np.ix_(perm, perm)]) == pytest.approx(
+        model.Context(g, p).energy(d), abs=1e-12
     )
 
 
@@ -344,14 +343,14 @@ def test_forces_are_the_negative_energy_gradient(seed, n_atoms):
     p = model.ModelParams()
     g = random_geometry(rng, n_atoms)
     sol = tight_solution(g, p)
-    f = model.forces(sol.density, g, p, h=sol.hamiltonian)
+    f = model.Context(g, p).forces(sol.density, h=sol.hamiltonian)
     fd = -fd_position_gradient(
         lambda q: scf.scf_solve(q, p, TIGHT, d0=sol.density).e_total, g)
     assert np.abs(f - fd).max() <= 1e-6 * max(1.0, np.abs(f).max())
 
     d = frozen_density(sol, rng)
-    f = model.forces(d, g, p)
-    fd = -fd_position_gradient(lambda q: model.energy(d, q, p), g)
+    f = model.Context(g, p).forces(d)
+    fd = -fd_position_gradient(lambda q: model.Context(q, p).energy(d), g)
     assert np.abs(f - fd).max() <= 1e-6 * max(1.0, np.abs(f).max())
 
 
@@ -372,15 +371,15 @@ def test_forces_are_rigid_motion_and_permutation_covariant(seed, n_atoms):
     ix = np.ix_(perm, perm)
     for d, h in ((sol.density, sol.hamiltonian),
                  (frozen_density(sol, rng), None)):
-        f = model.forces(d, g, p, h=h)
+        f = model.Context(g, p).forces(d, h=h)
         tol = 1e-10 * max(1.0, np.abs(f).max())
         assert np.abs(f.sum(axis=0)).max() <= tol
         torque = np.cross(g.positions, f).sum(axis=0)
         assert np.abs(torque).max() <= tol * np.abs(g.positions).max()
-        np.testing.assert_allclose(model.forces(d, moved, p, h=h), f @ rot.T,
-                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(model.Context(moved, p).forces(d, h=h),
+                                   f @ rot.T, rtol=0, atol=tol)
         np.testing.assert_allclose(
-            model.forces(d[ix], permuted, p, h=None if h is None else h[ix]),
+            model.Context(permuted, p).forces(d[ix], None if h is None else h[ix]),
             f[perm], rtol=0, atol=tol)
 
 

@@ -1,0 +1,54 @@
+"""The benchmark's hooks into scval stay valid.
+
+``perfbench/tracing.py`` wraps scval functions by module and name, and
+``perfbench/selftest.py`` drives scval end to end; renaming or bypassing
+what they reach for breaks only the traced benchmark runs, so both are
+exercised here.
+"""
+
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+from scval import model, scf
+from scval.systems import chain_geometry
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing  # its dataclasses look themselves up
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_wraps_and_restores_every_traced_name():
+    tracing = load_tracing()
+    sites = [(importlib.import_module(f"scval.{name}"), fn)
+             for mod, fn, importers in tracing.TRACED
+             for name in (mod, *importers)]
+    before = [getattr(site, fn) for site, fn in sites]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install("scval")
+        wrapped = [getattr(site, fn) for site, fn in sites]
+        # A solve is seen through the module attribute, with its iterations.
+        sol = scf.scf_solve(chain_geometry(4, spacing=1.4, n_electrons=4),
+                            model.ModelParams())
+    finally:
+        tracer.uninstall()
+    assert all(w is not b and w.__wrapped__ is b for w, b in zip(wrapped, before))
+    assert all(getattr(site, fn) is b for (site, fn), b in zip(sites, before))
+    solves = tracer.get("scf.scf_solve")
+    assert (solves.calls, solves.iterations) == (1, sol.iterations)
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -89,9 +89,9 @@ def test_single_atom_converges_immediately():
 
 def test_u_zero_is_linear_problem():
     g = ring_geometry(6, spacing=1.5, n_electrons=6)
-    sol, trace = scf.scf_trace(g, model.ModelParams(hubbard_u=0.0))
+    sol = scf.scf_solve(g, model.ModelParams(hubbard_u=0.0))
     assert sol.converged and sol.iterations == 1
-    assert len(trace) == 1
+    assert len(sol.trace) == 1
 
 
 def test_chain_matches_brute_force_oracle():
@@ -128,7 +128,7 @@ def test_converged_invariants_random_geometries():
         assert abs(np.trace(d @ s) - g.n_electrons) <= 1e-10
         np.testing.assert_allclose(d @ s @ d, 2 * d, atol=1e-8)
         assert sol.strict_diis <= 1e-9
-        assert model.energy(d, g, p) == pytest.approx(sol.e_total, abs=1e-10)
+        assert model.Context(g, p).energy(d) == pytest.approx(sol.e_total, abs=1e-10)
         # Fixed-point consistency: re-diagonalizing H reproduces D.
         occ = matcore.aufbau_occupations(sol.energies, g.n_electrons)
         d_back = matcore.build_density(sol.coeffs, occ)
@@ -149,10 +149,10 @@ def test_anderson_beats_damping():
     rng = np.random.default_rng(14)
     p = model.ModelParams()
     g = random_geometry(rng, 7)
-    fast, trace_fast = scf.scf_trace(g, p)
-    slow, trace_slow = scf.scf_trace(g, p, DAMPING_ONLY)
+    fast = scf.scf_solve(g, p)
+    slow = scf.scf_solve(g, p, DAMPING_ONLY)
     assert fast.converged and slow.converged
-    assert len(trace_fast) <= len(trace_slow)
+    assert len(fast.trace) <= len(slow.trace)
     assert abs(fast.e_total - slow.e_total) <= 1e-7
 
 
@@ -193,7 +193,7 @@ def test_noconvergence_carries_best_iterate():
     best = info.value.best
     assert best is not None and not best.converged
     assert best.strict_diis > 1e-9
-    assert len(info.value.trace) == 2
+    assert len(best.trace) == 2
 
 
 def test_warm_start_converges_faster():
@@ -362,7 +362,8 @@ def test_returned_residual_is_antisymmetric_and_within_tol(seed, n_atoms):
 
 def test_trace_final_entry_converged(tmp_path):
     g = ring_geometry(6, spacing=1.5, n_electrons=6)
-    sol, trace = scf.scf_trace(g, model.ModelParams())
+    sol = scf.scf_solve(g, model.ModelParams())
+    trace = sol.trace
     assert trace[-1][1] <= 1e-9
     assert trace[-1][0] == sol.iterations
     assert trace[-1][2] == pytest.approx(sol.e_total, abs=1e-12)

@@ -142,6 +142,24 @@ def test_identical_condition_is_degenerate():
         stats.linfit([2.0, 2.0, 2.0], [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 2.0, 3.0], [1e300, -1e300, 1e300, 0.0]),   # SS_tot overflows
+    ([0.0, 1e300, -1e300, 1.0], [0.0, 1.0, 2.0, 3.0]),     # S_xx overflows
+    ([0.0, 1.0, 2.0], [1.7e308, 1.7e308, 1.7e308]),        # the mean overflows
+])
+def test_linfit_rejects_overflowing_sums(x, y):
+    # Finite values whose fit sums overflow are not fit; no warning escapes.
+    with pytest.raises(InsufficientData, match="overflow"):
+        stats.linfit(x, y)
+
+
+def test_overflowing_target_rejected_by_correlation_report():
+    reports = synthetic_reports(200)
+    reports.mae_h[[3, 50, 120]] = 1e300
+    with pytest.raises(InsufficientData, match="overflow"):
+        stats.correlation_report(reports, targets=("strict_diis", "mae"))
+
+
 def test_linfit_needs_three_points():
     with pytest.raises(InsufficientData):
         stats.linfit([0.0, 1.0], [0.0, 1.0])

@@ -19,7 +19,7 @@ from scval.errors import (
     SpeciesMismatch,
 )
 from scval.rng import substream
-from scval.surrogate import Dataset, DatasetEntry
+from scval.surrogate import Dataset
 from scval.systems import chain_geometry
 
 P = model.ModelParams()
@@ -33,8 +33,15 @@ def chain(spacing):
     return chain_geometry(4, spacing=spacing, n_electrons=4)
 
 
-def entry(g):
-    return DatasetEntry(g, scf.scf_solve(g, P))
+def labeled(*spacings):
+    """The Dataset of the chains at ``spacings``, labeled by their solves."""
+    geometries = [chain(s) for s in spacings]
+    sols = [scf.scf_solve(g, P) for g in geometries]
+    col = lambda k: np.stack([getattr(sol, k) for sol in sols])
+    return Dataset(geometries[0].species, geometries[0].n_electrons,
+                   np.stack([g.positions for g in geometries]),
+                   col("hamiltonian"), col("density"), col("overlap"),
+                   labels={k: col(k) for k in surrogate._LABELS})
 
 
 # --- oracle noise ----------------------------------------------------------------
@@ -97,9 +104,9 @@ def test_zero_amplitude_repeats_seed_solution():
     seed_sol = scf.scf_solve(g, P)
     ds = surrogate.generate_dataset(g, P, 3, amplitude=0.0, seed=1)
     assert len(ds) == 3
-    for e in ds.entries:
-        np.testing.assert_array_equal(e.geometry.positions, g.positions)
-        np.testing.assert_array_equal(e.solution.hamiltonian, seed_sol.hamiltonian)
+    for i in range(len(ds)):
+        np.testing.assert_array_equal(ds.positions[i], g.positions)
+        np.testing.assert_array_equal(ds.hamiltonian[i], seed_sol.hamiltonian)
 
 
 def test_generation_is_deterministic_on_disk(tmp_path):
@@ -125,9 +132,9 @@ def test_seed_pair_strict_residual_grows_with_amplitude():
         ds = surrogate.generate_dataset(g, P, 20, amplitude=amplitude, seed=3)
         vals = [
             validator.full_report(
-                pred, e.solution, model.Context(e.geometry, P)
+                pred, ds.label(i), model.Context(ds.geometry(i), P)
             ).strict_diis
-            for e in ds.entries
+            for i in range(len(ds))
         ]
         means.append(float(np.mean(vals)))
     assert means[0] < means[1] < means[2]
@@ -140,7 +147,7 @@ def test_md_sample_mode_collects_converged_frames():
     )
     assert len(ds) == 6
     assert ds.metadata["mode"] == "md_sample"
-    assert all(e.solution.converged for e in ds.entries)
+    assert ds.labels["converged"].all()
 
 
 def test_generation_gives_up_after_too_many_failures():
@@ -155,14 +162,6 @@ def test_generation_argument_validation():
         surrogate.generate_dataset(chain(1.4), P, 0)
     with pytest.raises(ValueError):
         surrogate.generate_dataset(chain(1.4), P, 2, mode="lhs")
-
-
-def test_dataset_rejects_empty_and_mixed_entries():
-    with pytest.raises(EmptyDataset):
-        Dataset.from_entries([])
-    other = model.Geometry(("A", "B", "A", "A"), chain(1.5).positions, 4)
-    with pytest.raises(SpeciesMismatch):
-        Dataset.from_entries([entry(chain(1.4)), entry(other)])
 
 
 # --- descriptors and kernel regression --------------------------------------------
@@ -194,34 +193,32 @@ def test_batched_descriptors_equal_a_per_geometry_loop():
 
 
 def test_training_point_recalled_exactly_with_k1():
-    entries = [entry(chain(s)) for s in (1.3, 1.4, 1.5)]
-    km = surrogate.kernel_fit(Dataset.from_entries(entries), k_neighbors=1)
-    pred = surrogate.kernel_predict(km, entries[1].geometry)
-    np.testing.assert_array_equal(pred.h_pred, entries[1].solution.hamiltonian)
-    np.testing.assert_array_equal(pred.d_pred, entries[1].solution.density)
+    ds = labeled(1.3, 1.4, 1.5)
+    km = surrogate.kernel_fit(ds, k_neighbors=1)
+    pred = surrogate.kernel_predict(km, ds.geometry(1))
+    np.testing.assert_array_equal(pred.h_pred, ds.hamiltonian[1])
+    np.testing.assert_array_equal(pred.d_pred, ds.density[1])
     assert pred.source == "kernel"
 
 
 def test_equidistant_query_averages_the_pair():
     # Spacings 1.25/1.75 put the 1.5 chain exactly midway in descriptor
     # space, so the two Gaussian weights tie at 1/2.
-    a, b = entry(chain(1.25)), entry(chain(1.75))
-    km = surrogate.kernel_fit(Dataset.from_entries([a, b]), k_neighbors=2)
+    ds = labeled(1.25, 1.75)
+    km = surrogate.kernel_fit(ds, k_neighbors=2)
     pred = surrogate.kernel_predict(km, chain(1.5))
     np.testing.assert_allclose(
-        pred.h_pred, 0.5 * (a.solution.hamiltonian + b.solution.hamiltonian),
-        atol=1e-14,
+        pred.h_pred, 0.5 * (ds.hamiltonian[0] + ds.hamiltonian[1]), atol=1e-14,
     )
     np.testing.assert_allclose(
-        pred.d_pred, 0.5 * (a.solution.density + b.solution.density), atol=1e-14
+        pred.d_pred, 0.5 * (ds.density[0] + ds.density[1]), atol=1e-14
     )
 
 
 def test_duplicated_dataset_renormalizes_to_same_prediction():
-    entries = [entry(chain(1.25)), entry(chain(1.75))]
-    km1 = surrogate.kernel_fit(Dataset.from_entries(entries), bandwidth=0.5,
+    km1 = surrogate.kernel_fit(labeled(1.25, 1.75), bandwidth=0.5,
                                k_neighbors=2)
-    km2 = surrogate.kernel_fit(Dataset.from_entries(entries * 2), bandwidth=0.5,
+    km2 = surrogate.kernel_fit(labeled(1.25, 1.75, 1.25, 1.75), bandwidth=0.5,
                                k_neighbors=4)
     q = chain(1.31)
     p1 = surrogate.kernel_predict(km1, q)
@@ -231,20 +228,19 @@ def test_duplicated_dataset_renormalizes_to_same_prediction():
 
 
 def test_duplicate_entries_still_get_positive_bandwidth():
-    a, b = entry(chain(1.25)), entry(chain(1.75))
-    km = surrogate.kernel_fit(Dataset.from_entries([a, a, b]), k_neighbors=3)
+    km = surrogate.kernel_fit(labeled(1.25, 1.25, 1.75), k_neighbors=3)
     assert km.bandwidth > 0
     assert np.isfinite(km.bandwidth)
 
 
 def test_kernel_defaults_clamped():
-    entries = [entry(chain(s)) for s in (1.3, 1.5)]
-    km = surrogate.kernel_fit(Dataset.from_entries(entries), k_neighbors=8)
+    ds = labeled(1.3, 1.5)
+    km = surrogate.kernel_fit(ds, k_neighbors=8)
     assert km.k_neighbors == 2
     with pytest.raises(ValueError):
-        surrogate.kernel_fit(Dataset.from_entries(entries), k_neighbors=0)
+        surrogate.kernel_fit(ds, k_neighbors=0)
     with pytest.raises(ValueError):
-        surrogate.kernel_fit(Dataset.from_entries(entries), bandwidth=-1.0)
+        surrogate.kernel_fit(ds, bandwidth=-1.0)
 
 
 def test_kernel_prediction_symmetric_and_deterministic():
@@ -259,7 +255,7 @@ def test_kernel_prediction_symmetric_and_deterministic():
 
 
 def test_kernel_rejects_mismatched_query():
-    km = surrogate.kernel_fit(Dataset.from_entries([entry(chain(1.4))]))
+    km = surrogate.kernel_fit(labeled(1.4))
     bad = model.Geometry(("A", "A", "A", "A"), chain(1.4).positions, 2)
     with pytest.raises(SpeciesMismatch):
         surrogate.kernel_predict(km, bad)
@@ -268,8 +264,7 @@ def test_kernel_rejects_mismatched_query():
 def test_interpolation_breaks_self_consistency():
     # Matrix-space averaging of two distinct converged pairs is not a
     # converged pair; the residual has to see it.
-    a, b = entry(chain(1.25)), entry(chain(1.75))
-    km = surrogate.kernel_fit(Dataset.from_entries([a, b]), k_neighbors=2)
+    km = surrogate.kernel_fit(labeled(1.25, 1.75), k_neighbors=2)
     q = chain(1.5)
     pred = surrogate.kernel_predict(km, q)
     s = model.build_overlap(q, P)
@@ -284,9 +279,9 @@ def test_far_query_exceeds_in_distribution_p95():
     probe = surrogate.generate_dataset(chain(1.4), P, 30, amplitude=0.03, seed=6)
     in_dist = [
         validator.self_diis(
-            surrogate.kernel_predict(km, e.geometry), e.solution.overlap
+            surrogate.kernel_predict(km, probe.geometry(i)), probe.overlap[i]
         )
-        for e in probe.entries
+        for i in range(len(probe))
     ]
     compressed = chain(1.4).with_positions(chain(1.4).positions * 0.8)
     far = validator.self_diis(
@@ -350,7 +345,7 @@ def test_descriptor_distances_memory_is_bounded():
 
 def test_leave_one_out_needs_two_entries():
     with pytest.raises(EmptyDataset):
-        surrogate.kernel_loo(Dataset.from_entries([entry(chain(1.4))]))
+        surrogate.kernel_loo(labeled(1.4))
 
 
 # --- disk layout -----------------------------------------------------------------
@@ -363,18 +358,16 @@ def test_dataset_roundtrip(tmp_path):
     assert len(back) == len(ds)
     assert back.metadata["mode"] == "random_perturb"
     assert back.metadata["seed"] == 4
-    for orig, loaded in zip(ds.entries, back.entries):
-        assert loaded.geometry.species == orig.geometry.species
-        np.testing.assert_array_equal(loaded.solution.hamiltonian,
-                                      orig.solution.hamiltonian)
-        np.testing.assert_array_equal(loaded.solution.density,
-                                      orig.solution.density)
-        np.testing.assert_array_equal(loaded.solution.overlap,
-                                      orig.solution.overlap)
-        assert loaded.solution.e_total == orig.solution.e_total
-        assert loaded.solution.converged
+    assert back.species == ds.species
+    for i in range(len(ds)):
+        orig, loaded = ds.label(i), back.label(i)
+        np.testing.assert_array_equal(loaded.hamiltonian, orig.hamiltonian)
+        np.testing.assert_array_equal(loaded.density, orig.density)
+        np.testing.assert_array_equal(loaded.overlap, orig.overlap)
+        assert loaded.e_total == orig.e_total
+        assert loaded.converged
         # Eigenvectors are solved from (H, S) on first read.
-        c, s = loaded.solution.coeffs, loaded.solution.overlap
+        c, s = loaded.coeffs, loaded.overlap
         np.testing.assert_allclose(c.T @ s @ c, np.eye(len(c)), atol=1e-10)
 
 
@@ -387,7 +380,7 @@ def test_loaded_dataset_predicts_like_original(tmp_path):
     assert km1.bandwidth == km2.bandwidth
     np.testing.assert_array_equal(km1.descriptors, km2.descriptors)
     assert km2.descriptors.flags.c_contiguous
-    for q in (chain(1.42), chain(1.37), ds.entries[3].geometry):
+    for q in (chain(1.42), chain(1.37), ds.geometry(3)):
         p1 = surrogate.kernel_predict(km1, q)
         p2 = surrogate.kernel_predict(km2, q)
         np.testing.assert_array_equal(p1.h_pred, p2.h_pred)
@@ -418,20 +411,21 @@ def test_bundle_roundtrip_is_bit_exact(tmp_path, mode):
     ]
     back = surrogate.load_dataset(tmp_path / "ds")
     assert back.metadata["n_entries"] == 6
-    for orig, loaded in zip(ds.entries, back.entries, strict=True):
-        np.testing.assert_array_equal(loaded.geometry.positions,
-                                      orig.geometry.positions)
+    assert len(back) == len(ds)
+    for i in range(len(ds)):
+        np.testing.assert_array_equal(back.geometry(i).positions,
+                                      ds.geometry(i).positions)
+        orig, loaded = ds.label(i), back.label(i)
         for name in ("hamiltonian", "density", "overlap", "e_total", "gap",
                      "strict_diis", "iterations", "converged"):
-            np.testing.assert_array_equal(getattr(loaded.solution, name),
-                                          getattr(orig.solution, name), name)
-        assert type(loaded.solution.converged) is bool
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(orig, name), name)
+        assert type(loaded.converged) is bool
 
 
 def test_load_opens_a_fixed_number_of_files(tmp_path, monkeypatch):
     # One manifest, one frame file and one stack per matrix kind, however
     # many entries the dataset holds.
-    one = entry(chain(1.4))
     opened = []
     real_open = builtins.open
 
@@ -441,7 +435,7 @@ def test_load_opens_a_fixed_number_of_files(tmp_path, monkeypatch):
 
     counts = []
     for m in (2, 40):
-        surrogate.save_dataset(Dataset.from_entries([one] * m), tmp_path / str(m))
+        surrogate.save_dataset(labeled(*[1.4] * m), tmp_path / str(m))
         opened.clear()
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)  # pathlib's read_text
@@ -454,11 +448,10 @@ def test_load_opens_a_fixed_number_of_files(tmp_path, monkeypatch):
 def test_load_and_fit_build_no_per_entry_objects(tmp_path, monkeypatch):
     # The loader and the fit work on the stacks: how many Geometry
     # objects they build does not grow with the number of entries.
-    one = entry(chain(1.4))
     real = model.Geometry.__post_init__
     counts = []
     for m in (2, 40):
-        surrogate.save_dataset(Dataset.from_entries([one] * m), tmp_path / str(m))
+        surrogate.save_dataset(labeled(*[1.4] * m), tmp_path / str(m))
         built = []
 
         def counting(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scval import matcore, model, scf, surrogate, validator
 from scval.errors import FileFormatError
 from scval.rng import substream
-from scval.surrogate import Dataset, DatasetEntry
+from scval.surrogate import Dataset
 from scval.systems import chain_geometry
 
 P = model.ModelParams()
@@ -228,9 +228,13 @@ def test_gradient_of_exact_predictor_is_flat():
 
 
 def kernel_predictor_from(geometries):
-    entries = [DatasetEntry(g, solved(g)) for g in geometries]
-    ds = Dataset.from_entries(entries)
-    km = surrogate.kernel_fit(ds, k_neighbors=len(entries))
+    sols = [solved(g) for g in geometries]
+    col = lambda k: np.stack([getattr(sol, k) for sol in sols])
+    ds = Dataset(geometries[0].species, geometries[0].n_electrons,
+                 np.stack([g.positions for g in geometries]),
+                 col("hamiltonian"), col("density"), col("overlap"),
+                 labels={k: col(k) for k in surrogate._LABELS})
+    km = surrogate.kernel_fit(ds, k_neighbors=len(geometries))
     return lambda g: surrogate.kernel_predict(km, g)
 
 
