@@ -43,10 +43,26 @@ class _Parser(argparse.ArgumentParser):
 # Config plumbing.
 
 
+# The config keys some setting reads: the model fields, each species
+# field's and the mass's ``.X`` overrides, ``mass``, ``norm`` and
+# ``scf.<field>`` (the norm is set by ``norm`` alone).
+_CONFIG_KEYS = frozenset(
+    [f.name for f in fields(model.ModelParams)] + ["mass", "norm"]
+    + [f"scf.{f.name}" for f in fields(scf.ScfConfig) if f.name != "norm"]
+)
+_OVERRIDES = tuple(f"{name}." for name in (*model._SPECIES_FIELDS, "mass"))
+
+
 def _load_config(path) -> dict:
+    """The key/value pairs of a config file; a key no setting reads is an error."""
     if path is None:
         return {}
-    return model.read_config(path)
+    cfg = model.read_config(path)
+    unknown = [key for key in cfg if key not in _CONFIG_KEYS
+               and not (key.startswith(_OVERRIDES) and not key.endswith("."))]
+    if unknown:
+        raise ValueError(f"{path}: no setting reads config key(s) {', '.join(unknown)}")
+    return cfg
 
 
 def _resolve_norm(args, cfg) -> str:

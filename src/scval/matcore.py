@@ -67,7 +67,7 @@ def _as_square(m, name="matrix") -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def validate_symmetric(m, name="matrix") -> np.ndarray:

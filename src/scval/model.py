@@ -10,14 +10,17 @@ a converged solution, the variational one.
 
 :class:`Context` holds what depends only on the geometry (S, X = S^-1/2,
 H0, U, q_ref, E_rep), and its methods are the one implementation of
-H(D), E(D) and the forces.  ``Context.response(d)`` takes the Mulliken
-charges q of D once and returns (q, H(D), E(D)); the SCF loop and the
-validator call it once per density, and ``effective_hamiltonian``,
-``electronic_energy`` and ``energy`` are views of it.  Build one per
-geometry and call its methods.  The module functions
-``effective_hamiltonian`` and ``electronic_energy`` are one-line calls
-through a fresh context; no pipeline calls them, but they stay because
-``perfbench/tracing.py`` wraps them by name.
+H(D), E(D) and the forces.  H(D) depends on D only through the Mulliken
+charges q, and affinely; ``Context.hamiltonian_of_charges(q)`` is its
+one formula.  ``Context.response(d)`` takes the Mulliken charges q of D
+once and returns (q, H(D), E(D)), with H(D) from that formula; the SCF
+loop and the validator call it once per density, and the SCF loop builds
+each input Hamiltonian from mixed charges with the same formula.
+``effective_hamiltonian``, ``electronic_energy`` and ``energy`` are views
+of ``response``.  Build one per geometry and call its methods.  The
+module functions ``effective_hamiltonian`` and ``electronic_energy`` are
+one-line calls through a fresh context; no pipeline calls them, but they
+stay because ``perfbench/tracing.py`` wraps them by name.
 """
 
 from __future__ import annotations
@@ -190,7 +193,7 @@ def build_h0(g: Geometry, p: ModelParams) -> np.ndarray:
     """Bare Hamiltonian: on-site eps0, hopping -t0 exp(-beta (r - r0))."""
     r = pair_distances(g.positions)
     h0 = -p.t0 * np.exp(-p.beta * (r - p.r0))
-    h0[np.diag_indices_from(h0)] = p.eps0_for(g.species)
+    np.fill_diagonal(h0, p.eps0_for(g.species))
     return h0
 
 
@@ -204,8 +207,9 @@ def mulliken_charges(d, s) -> np.ndarray:
 
 def repulsion_energy(g: Geometry, p: ModelParams) -> float:
     r = pair_distances(g.positions)
-    iu = np.triu_indices(g.n_atoms, k=1)
-    return float((p.rep_a * np.exp(-r[iu] / p.rep_rho)).sum())
+    # The pairs i < j in row order; a mask is cheaper than triu_indices.
+    upper = ~np.tri(g.n_atoms, dtype=bool)
+    return float((p.rep_a * np.exp(-r[upper] / p.rep_rho)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,10 +270,19 @@ class Context:
         d = np.asarray(d, dtype=float)
         q = mulliken_charges(d, self.s)
         dq = q - self.q_ref
-        udq = self.u * dq
-        h = self.h0 + 0.5 * self.s * (udq[..., :, None] + udq[..., None, :])
         band = np.einsum("...ij,ji->...", d, self.h0)
-        return q, h, band + 0.5 * (udq * dq).sum(axis=-1)
+        e_el = band + 0.5 * (self.u * dq * dq).sum(axis=-1)
+        return q, self.hamiltonian_of_charges(q), e_el
+
+    def hamiltonian_of_charges(self, q) -> np.ndarray:
+        """H of Mulliken charges: H0 + 1/2 S_ij (U_i dq_i + U_j dq_j).
+
+        dq = q - q_ref, and ``q`` is one row of n charges or a (B, n)
+        stack; H(D) is this of q(D).  The reference charges give H0
+        exactly.
+        """
+        udq = self.u * (q - self.q_ref)
+        return self.h0 + 0.5 * self.s * (udq[..., :, None] + udq[..., None, :])
 
     def electronic_energy(self, d):
         """Band plus charge-fluctuation energy, no ion-ion repulsion."""
@@ -402,14 +415,24 @@ def _parse_comment(line: str) -> dict:
     return out
 
 
-def _xyz_records(text: str, path) -> list:
-    """(species, coordinate rows, n_electrons, comment dict) of every frame.
+def _xyz_records(text: str, path) -> tuple:
+    """(frames, coordinates) of an extended-xyz text.
 
-    Only the syntax is checked here; the geometry rules are
-    :func:`_frame_fault`'s.
+    ``frames`` holds (species, n_electrons, comment dict) of each frame
+    and ``coordinates`` the (atoms of all frames, 3) positions in text
+    order.  Each atom line is split once, and every coordinate token is
+    converted in one pass at the end.  The first fault in text order is
+    the one reported.  Only the syntax is checked here; the geometry
+    rules are :func:`_frame_fault`'s.
     """
     lines = text.splitlines()
-    records = []
+    frames, tokens = [], []
+    spans = []  # (first line index, atom count) of each frame read so far
+
+    def fault(message):
+        # A non-numeric coordinate above the fault comes first.
+        return _bad_coordinate(lines, spans, path) or FileFormatError(message)
+
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -417,48 +440,62 @@ def _xyz_records(text: str, path) -> list:
             continue
         count = lines[i].strip()
         if not count.isdecimal():
-            raise FileFormatError(f"{path}: expected atom count, got {lines[i]!r}")
+            raise fault(f"{path}: expected atom count, got {lines[i]!r}")
         n = int(count)
         if len(lines) < i + 2 + n:
-            raise FileFormatError(f"{path}: truncated frame at line {i + 1}")
+            raise fault(f"{path}: truncated frame at line {i + 1}")
         meta = _parse_comment(lines[i + 1])
         if "n_electrons" not in meta:
-            raise FileFormatError(f"{path}: comment line lacks n_electrons")
+            raise fault(f"{path}: comment line lacks n_electrons")
         try:
             n_electrons = int(meta["n_electrons"])
         except ValueError:
-            raise FileFormatError(
+            raise fault(
                 f"{path}:{i + 2}: n_electrons={meta['n_electrons']!r} is not an integer"
             ) from None
-        species, coords = [], []
-        for lineno, row in enumerate(lines[i + 2 : i + 2 + n], start=i + 3):
-            parts = row.split()
-            if len(parts) < 4:
-                raise FileFormatError(f"{path}: bad atom line {row!r}")
-            species.append(parts[0])
-            try:
-                coords.append([float(v) for v in parts[1:4]])
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}:{lineno}: non-numeric coordinate in {row!r}"
-                ) from None
-        records.append((tuple(species), coords, n_electrons, meta))
+        rows = [row.split() for row in lines[i + 2 : i + 2 + n]]
+        if rows and min(map(len, rows)) < 4:
+            short = next(j for j, parts in enumerate(rows) if len(parts) < 4)
+            spans.append((i + 2, short))
+            raise fault(f"{path}: bad atom line {lines[i + 2 + short]!r}")
+        spans.append((i + 2, n))
+        frames.append((tuple(parts[0] for parts in rows), n_electrons, meta))
+        tokens += [v for parts in rows for v in parts[1:4]]
         i += 2 + n
-    if not records:
+    if not frames:
         raise FileFormatError(f"{path}: no frames found")
-    return records
+    try:
+        coords = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        raise _bad_coordinate(lines, spans, path) from None
+    return frames, coords.reshape(-1, 3)
+
+
+def _bad_coordinate(lines, spans, path):
+    """The error of the first non-numeric coordinate in ``spans``, or None."""
+    for start, n in spans:
+        for lineno, row in enumerate(lines[start : start + n], start=start + 1):
+            try:
+                for v in row.split()[1:4]:
+                    float(v)
+            except ValueError:
+                return FileFormatError(
+                    f"{path}:{lineno}: non-numeric coordinate in {row!r}")
+    return None
 
 
 def parse_xyz_frames(text: str, path="<string>") -> list:
     """All (Geometry, comment-dict) frames in an extended-xyz string."""
-    frames = []
-    for k, (species, coords, n_electrons, meta) in enumerate(_xyz_records(text, path)):
+    frames, coords = _xyz_records(text, path)
+    out, end = [], 0
+    for k, (species, n_electrons, meta) in enumerate(frames):
+        start, end = end, end + len(species)
         try:
-            g = Geometry(species, np.array(coords), n_electrons)
+            g = Geometry(species, coords[start:end], n_electrons)
         except InvalidGeometry as exc:
             raise FileFormatError(f"{path}: frame {k}: {exc}") from None
-        frames.append((g, meta))
-    return frames
+        out.append((g, meta))
+    return out
 
 
 class XyzStack(NamedTuple):
@@ -478,20 +515,20 @@ def parse_xyz_stack(text: str, path="<string>") -> XyzStack:
     :class:`Geometry` is checked on the whole stack at once; any fault
     raises ``FileFormatError`` naming the frame.
     """
-    records = _xyz_records(text, path)
-    species, _, n_electrons, _ = records[0]
-    for k, (sp, _, n_e, _) in enumerate(records):
+    frames, coords = _xyz_records(text, path)
+    species, n_electrons, _ = frames[0]
+    for k, (sp, n_e, _) in enumerate(frames):
         if len(sp) != len(species):
             raise FileFormatError(f"{path}: frames differ in atom count")
         if sp != species or n_e != n_electrons:
             raise FileFormatError(
                 f"{path}: frame {k}: species or electron count differs from frame 0"
             )
-    positions = np.array([c for _, c, _, _ in records], dtype=float)
+    positions = coords.reshape(len(frames), len(species), 3)
     fault = _frame_fault(positions, len(species), n_electrons)
     if fault:
         raise FileFormatError(f"{path}: frame {fault[0]}: {fault[1]}")
-    return XyzStack(species, n_electrons, positions, [meta for *_, meta in records])
+    return XyzStack(species, n_electrons, positions, [meta for *_, meta in frames])
 
 
 def read_text(path) -> str:

@@ -1,16 +1,22 @@
 """Self-consistent field solver with Anderson mixing of the charges.
 
 H(D) depends on D only through the Mulliken charges q, and affinely, so
-the solver mixes Hamiltonians and measures progress on q.  Each
-iteration fills the aufbau density D of an input Hamiltonian H_in and
-banks the damped pair (1 - damping) H_in + damping H(D), with its
-charges, and the charge residual q(D) - q_in.  The next input combines
-the banked pairs with weights that sum to one and minimize the combined
+the solver mixes charges: each iteration builds its input Hamiltonian
+H_in = H(q_in) with ``Context.hamiltonian_of_charges``, fills the aufbau
+density D of H_in and banks the charge residual r = q(D) - q_in and the
+damped charges q_in + damping r.  The next q_in combines the banked
+damped charges with weights that sum to one and minimize the combined
 residual (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer.
-Anal. 49, 1715 (2011)).  On one banked pair this is plain linear mixing.
-The history is three preallocated arrays of depth ``diis_depth``, oldest
-row first: residuals (depth, n), damped H (depth, n, n) and damped q
-(depth, n); the mixed input is a weighted sum over their leading axis.
+Anal. 49, 1715 (2011)).  With the m older residual rows taken as
+differences dR (m, n) to the latest residual r, the weights gamma of the
+older rows solve the m x m system (G + lam tr(G)/m I) gamma = -dR r,
+G = dR dR^T, and the latest row gets 1 - sum(gamma).  The Tikhonov term
+lam keeps the weights bounded on a near-singular history (regularized
+nonlinear acceleration: Scieur, d'Aspremont & Bach, Math. Program. 179,
+47 (2020)); a zero history keeps plain mixing.  On one banked row this is
+plain linear mixing.  The history is two preallocated (diis_depth, n)
+arrays, oldest row first: residuals and damped charges.
+
 The commutator residual at D is the stopping test, so the returned pair
 keeps H = H(D) exactly and D is always an aufbau density.  Each solve
 builds one :class:`model.Context` and takes S, X, H0, U, q_ref and E_rep
@@ -34,18 +40,30 @@ __all__ = [
     "write_trace_csv",
 ]
 
+# lam, the Tikhonov weight of the Anderson normal equations relative to
+# the mean of their diagonal: REGULARIZATION[0] up to iteration
+# HARD_AFTER and REGULARIZATION[1] beyond it.  The small value keeps the
+# fast last steps of an ordinary solve; the large one bounds the weights
+# of the slow solves that still run after HARD_AFTER iterations, whose
+# history is near-singular, so that they converge however the molecule is
+# placed.
+REGULARIZATION = (1e-10, 1e-4)
+HARD_AFTER = 40
+
 
 @dataclass(frozen=True)
 class ScfConfig:
     """Iteration limits and mixing knobs.
 
-    ``damping`` is the weight of the output Hamiltonian in each linear
-    mixing step, ``diis_depth`` the number of recent iterations the
-    Anderson weights combine, and ``diis_start`` the first iteration
-    that combines more than the latest one.  Setting ``diis_start``
-    beyond ``max_iter`` gives plain linear mixing; since H is affine in
-    D, that follows the Hamiltonians of density damping started from a
-    density with the reference charges.
+    ``damping`` is the weight of the output charges in each linear
+    mixing step, q_in + damping (q(D) - q_in); ``diis_depth`` the number
+    of recent iterations the regularized Anderson weights combine, and
+    ``diis_start`` the first iteration that combines more than the
+    latest one.  Setting ``diis_start`` beyond ``max_iter`` gives plain
+    linear mixing; since H is affine in q and q in D, that follows the
+    Hamiltonians of density damping started from a density with the
+    reference charges.  The regularization is a module constant
+    (``REGULARIZATION``), not a setting.
     """
 
     max_iter: int = 200
@@ -87,57 +105,53 @@ def scf_solve(
 ) -> model.ScfSolution:
     """Drive H(D) / D(H) to self-consistency; see :class:`ScfConfig`.
 
-    Starts from H0 and the reference charges, or from H(``d0``) when a
-    density is given.  Returns a solution whose Hamiltonian is H(D) of
-    the final density, so H = effective_hamiltonian(D) holds exactly,
-    and whose ``trace`` records every iteration.  Raises NoConvergence
-    (carrying the best iterate) when the budget runs out.
+    Starts from the reference charges (H_in = H0), or from the charges
+    of ``d0`` (H_in = H(``d0``)) when a density is given.  Returns a
+    solution whose Hamiltonian is H(D) of the final density, so
+    H = effective_hamiltonian(D) holds exactly, and whose ``trace``
+    records every iteration.  Raises NoConvergence (carrying the best
+    iterate) when the budget runs out.
     """
     cfg = cfg or ScfConfig()
     ctx = model.Context(g, p)
-    beta, n = cfg.damping, g.n_atoms
-    if d0 is not None:
-        q_in, h_in, _ = ctx.response(d0)
-    else:
-        h_in, q_in = ctx.h0, ctx.q_ref
-    # Anderson history, oldest first: residuals, damped H, damped q.
-    res_k = np.empty((cfg.diis_depth, n))
-    h_k = np.empty((cfg.diis_depth, n, n))
-    q_k = np.empty((cfg.diis_depth, n))
+    s, beta, depth = ctx.s, cfg.damping, cfg.diis_depth
+    q_in = ctx.q_ref if d0 is None else model.mulliken_charges(d0, s)
+    # Anderson history, oldest first: residuals and damped charges.
+    res_k = np.empty((depth, g.n_atoms))
+    q_k = np.empty((depth, g.n_atoms))
     k = 0  # banked rows
     trace = []
     best = None  # (err, d, h, e_total, iteration)
 
     for it in range(1, cfg.max_iter + 1):
-        levels, orbs = ctx.orbitals(h_in)
-        occ = matcore.aufbau_occupations(levels, g.n_electrons)
-        d = matcore.build_density(orbs, occ)
+        levels, orbs = ctx.orbitals(ctx.hamiltonian_of_charges(q_in))
+        d = (orbs * matcore.aufbau_occupations(levels, g.n_electrons)) @ orbs.T
+        d = 0.5 * (d + d.T)
         q, h, e_total = ctx.response(d)
-        err = matcore.error_magnitude(matcore.commutator_error(h, d, ctx.s), cfg.norm)
+        err = matcore.error_magnitude(h @ d @ s - s @ d @ h, cfg.norm)
         trace.append((it, err, e_total))
         if best is None or err < best[0]:
             best = (err, d, h, e_total, it)
         if err <= cfg.tol:
             return _package(ctx, d, h, err, e_total, it, True, trace)
-        if k == cfg.diis_depth:
-            for a in (res_k, h_k, q_k):
-                a[:-1] = a[1:]
+        if k == depth:
+            res_k[:-1] = res_k[1:]
+            q_k[:-1] = q_k[1:]
             k -= 1
-        res_k[k], h_k[k], q_k[k] = (
-            q - q_in, (1 - beta) * h_in + beta * h, (1 - beta) * q_in + beta * q
-        )
+        res_k[k] = r = q - q_in
+        q_in = q_k[k] = q_in + beta * r
         k += 1
-        # Weights c with sum c = 1 minimizing |sum c r|, from least squares
-        # on differences to the latest residual, which returns the
-        # minimum-norm answer for a rank-deficient history.
-        lo = 0 if it >= cfg.diis_start else k - 1
-        c = np.ones(1)
-        if k - lo > 1:
-            last = res_k[k - 1]
-            gamma = np.linalg.lstsq((res_k[lo:k - 1] - last).T, -last, rcond=None)[0]
-            c = np.append(gamma, 1.0 - gamma.sum())
-        h_in = (c[:, None, None] * h_k[lo:k]).sum(axis=0)
-        q_in = (c[:, None] * q_k[lo:k]).sum(axis=0)
+        m = k - 1 if it >= cfg.diis_start else 0  # older rows to combine
+        if m:
+            # Weights gamma of the older rows and 1 - sum(gamma) of the
+            # latest; see the module docstring.
+            dr = res_k[:m] - r
+            gram = dr @ dr.T
+            scale = gram.trace()
+            if scale > 0.0:
+                gram.flat[::m + 1] += REGULARIZATION[it > HARD_AFTER] * scale / m
+                gamma = np.linalg.solve(gram, -(dr @ r))
+                q_in = q_in + gamma @ (q_k[:m] - q_in)
 
     err, d, h, e_total, it = best
     sol = _package(ctx, d, h, err, e_total, cfg.max_iter, False, trace)

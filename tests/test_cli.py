@@ -105,6 +105,26 @@ def test_non_finite_settings_exit_one(work, tmp_path, capsys, argv, config,
     assert setting in capsys.readouterr().err
 
 
+def test_config_key_no_setting_reads_exits_one(work, tmp_path, capsys):
+    # A misspelt key used to be dropped silently: this run solved at the
+    # default scf.tol = 1e-9 and alpha = 0.7 and exited 0.
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("scf.tolerance = 1e-3\nalpah = 0.5\n")
+    code = cli.main(["scf", str(work["ring"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "scf.tolerance" in err and "alpah" in err
+    # Every key some setting reads is still accepted.
+    cfg.write_text("t0 = 2.5\nalpha = 0.7\neps0 = 0.0\neps0.A = -0.5\n"
+                   "hubbard_u.A = 8.0\nq_ref.A = 1.0\nmass = 12.0\n"
+                   "mass.A = 10.8\nnorm = frobenius\nscf.tol = 1e-9\n"
+                   "scf.max_iter = 300\nscf.damping = 0.3\n"
+                   "scf.diis_depth = 8\nscf.diis_start = 2\n")
+    assert cli.main(["scf", str(work["ring"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "ok")]) == 0
+
+
 def test_parser_is_built_once_and_calls_do_not_leak(work, tmp_path):
     assert cli.build_parser() is cli.build_parser()
     blobs = []

@@ -8,6 +8,7 @@ exercised here.
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,17 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_validate_run_counts_every_label_solve():
+    # The traced run needs at least 100 scf.scf_solve samples for its
+    # percentiles; they all come from the set-up's generate_dataset, so a
+    # solve that bypasses the module attribute makes the run exit 1.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "validate",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["correct"] is True
+    assert out["metrics"]["scf.scf_solve.calls"]["value"] >= 100

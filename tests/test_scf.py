@@ -40,17 +40,20 @@ def density_damping(g, p, beta=0.05, max_iter=10000, tol=1e-11):
 
 
 def deque_anderson_inputs(g, p, cfg):
-    """Independent mixing oracle: a deque history and Python sums.
+    """Independent mixing oracle: a deque history of charges.
 
-    Runs the Anderson loop with a ``deque`` of (residual, damped H,
-    damped q) tuples, ``np.linalg.lstsq`` on differences to the latest
-    residual and Python ``sum`` over the weighted terms, and returns
-    every input Hamiltonian it diagonalized, in order.
+    Runs the Anderson loop on the Mulliken charges with a ``deque`` of
+    (residual, damped q) pairs and the Tikhonov-regularized weights of
+    the solver, and returns every input Hamiltonian it diagonalized, in
+    order, each built from its charges by the written-out formula
+    H0 + 1/2 S_ij (U_i dq_i + U_j dq_j).
     """
     ctx = model.Context(g, p)
-    h_in, q_in, beta = ctx.h0, ctx.q_ref, cfg.damping
+    q_in, beta = ctx.q_ref, cfg.damping
     hist, inputs = deque(maxlen=cfg.diis_depth), []
     for it in range(1, cfg.max_iter + 1):
+        udq = ctx.u * (q_in - ctx.q_ref)
+        h_in = ctx.h0 + 0.5 * ctx.s * (udq[:, None] + udq[None, :])
         inputs.append(h_in)
         energies, coeffs = ctx.orbitals(h_in)
         d = matcore.build_density(
@@ -59,17 +62,44 @@ def deque_anderson_inputs(g, p, cfg):
         if matcore.error_magnitude(matcore.commutator_error(h, d, ctx.s)) <= cfg.tol:
             return inputs
         q = model.mulliken_charges(d, ctx.s)
-        hist.append((q - q_in, (1 - beta) * h_in + beta * h, (1 - beta) * q_in + beta * q))
-        mix = list(hist) if it >= cfg.diis_start else [hist[-1]]
-        c = np.ones(1)
-        if len(mix) > 1:
-            last = mix[-1][0]
-            diffs = np.stack([r - last for r, _, _ in mix[:-1]], axis=1)
-            gamma = np.linalg.lstsq(diffs, -last, rcond=None)[0]
-            c = np.append(gamma, 1.0 - gamma.sum())
-        h_in = sum(ck * hk for ck, (_, hk, _) in zip(c, mix))
-        q_in = sum(ck * qk for ck, (_, _, qk) in zip(c, mix))
+        hist.append((q - q_in, q_in + beta * (q - q_in)))
+        *older, (last, q_in) = hist
+        if it >= cfg.diis_start and older:
+            # gamma minimizes |last + sum gamma_k (r_k - last)|^2 plus
+            # lam * (mean diagonal of the Gram matrix) |gamma|^2, and the
+            # input is q_last + sum gamma_k (q_k - q_last).
+            m = len(older)
+            diffs = np.stack([r - last for r, _ in older])
+            gram = diffs @ diffs.T
+            lam = scf.REGULARIZATION[it > scf.HARD_AFTER]
+            gram += lam * np.trace(gram) / m * np.eye(m)
+            gamma = np.linalg.solve(gram, -(diffs @ last))
+            q_in = q_in + gamma @ np.stack([qk - q_in for _, qk in older])
     return inputs
+
+
+def placed(seed, kind, i):
+    """Copy ``i`` of corpus-style geometry ``seed``, moved or permuted.
+
+    ``default_rng(10000 + seed)`` draws 4 rigid motions (a QR rotation
+    with its signs fixed to a proper rotation, then a shift in
+    [-5, 5)^3), and then 4 atom permutations.
+    """
+    rng = np.random.default_rng(seed)
+    g = random_geometry(rng, int(rng.integers(4, 11)))
+    rng = np.random.default_rng(10000 + seed)
+    moves = []
+    for _ in range(4):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        rot = q * np.sign(np.diag(r))
+        rot *= np.linalg.det(rot)
+        moves.append(g.positions @ rot.T + rng.uniform(-5.0, 5.0, 3))
+    perms = [rng.permutation(g.n_atoms) for _ in range(4)]
+    if kind == "rot":
+        return g.with_positions(moves[i])
+    perm = perms[i]
+    return model.Geometry([g.species[j] for j in perm], g.positions[perm],
+                          g.n_electrons)
 
 
 def brute_force_energy(g, p):
@@ -184,6 +214,20 @@ def test_no_stall_after_reaching_the_basin():
     assert not failed, failed
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+def test_solution_matches_the_damping_fixed_point_to_solve_tolerance(seed):
+    # The tolerance to which converged outputs are reproduced by any
+    # mixing scheme that stops at the default commutator tolerance.
+    p = model.ModelParams()
+    rng = np.random.default_rng(seed)
+    g = random_geometry(rng, int(rng.integers(4, 11)))
+    hamiltonians, e_ref, converged = density_damping(g, p, tol=1e-12)
+    assert converged
+    sol = scf.scf_solve(g, p)
+    assert abs(sol.e_total - e_ref) <= 1e-10
+    assert np.abs(sol.hamiltonian - hamiltonians[-1]).max() <= 1e-8
+
+
 def test_noconvergence_carries_best_iterate():
     g = chain_geometry(6, spacing=1.45, n_electrons=6)
     p = model.ModelParams()
@@ -237,13 +281,8 @@ def test_linear_mixing_follows_density_damping(monkeypatch):
     assert sol.e_total == pytest.approx(e_ref, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", [1, 26, 74])
-def test_anderson_mixing_matches_a_deque_history(monkeypatch, seed):
-    # Corpus systems of 7, 10 and 5 atoms whose solves outlast the
-    # history depth, so the stacked history wraps.
+def assert_inputs_match_deque_oracle(monkeypatch, g):
     p, cfg = model.ModelParams(), scf.ScfConfig()
-    rng = np.random.default_rng(seed)
-    g = random_geometry(rng, int(rng.integers(4, 11)))
     expected = deque_anderson_inputs(g, p, cfg)
     assert len(expected) > cfg.diis_depth + 1
     seen = []
@@ -259,6 +298,40 @@ def test_anderson_mixing_matches_a_deque_history(monkeypatch, seed):
     assert sol.iterations == len(expected) == len(seen) - 1
     for got, want in zip(seen, expected):
         assert got.tobytes() == want.tobytes()
+    return sol
+
+
+@pytest.mark.parametrize("seed", [1, 26, 74])
+def test_anderson_mixing_matches_a_deque_history(monkeypatch, seed):
+    # Corpus systems of 7, 10 and 5 atoms whose solves outlast the
+    # history depth, so the stacked history wraps.
+    rng = np.random.default_rng(seed)
+    assert_inputs_match_deque_oracle(
+        monkeypatch, random_geometry(rng, int(rng.integers(4, 11))))
+
+
+def test_anderson_mixing_past_hard_after_matches_a_deque_history(monkeypatch):
+    # A slow solve, so the stronger regularization takes over.
+    sol = assert_inputs_match_deque_oracle(monkeypatch, placed(138, "rot", 0))
+    assert sol.iterations > scf.HARD_AFTER
+
+
+# Moved or permuted copies of damping-convergent corpus-style geometries
+# on which unregularized Anderson weights diverged: on a near-singular
+# history they extrapolate far, and roundoff from the placement tips them.
+@pytest.mark.parametrize("seed,kind,i", [
+    (74, "perm", 2), (76, "rot", 2), (76, "perm", 2),
+    (138, "rot", 0), (138, "rot", 1), (138, "rot", 3),
+    (138, "perm", 0), (138, "perm", 1), (138, "perm", 3),
+])
+def test_converges_however_the_molecule_is_placed(seed, kind, i):
+    p = model.ModelParams()
+    g = placed(seed, kind, i)
+    _, e_ref, converged = density_damping(g, p, max_iter=2000)
+    assert converged
+    sol = scf.scf_solve(g, p)
+    assert sol.converged
+    assert abs(sol.e_total - e_ref) <= 1e-7
 
 
 @pytest.mark.parametrize("warm", [False, True])
