@@ -2,9 +2,11 @@
 
 Subcommands: scf, gen, validate, stats, grad, md.  Exit codes: 0 on
 success, 1 for usage or input-parsing problems, 2 for domain failures
-(non-convergence, exhausted generation, insufficient data).  Every run
-writes the fully resolved configuration next to its outputs so any
-result can be reproduced from the artifact directory alone.
+(non-convergence, exhausted generation, insufficient data).  Each
+command reads the config groups ``_READS`` names for it, and a key of
+any other group exits 1.  Every run writes ``resolved_config.txt`` next
+to its outputs: the settings it built from those groups and its parsed
+flags, so any result can be reproduced from the artifact directory alone.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
-_NORMS = ("frobenius", "mae")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; the contract reserves 2 for domain
     failures, so usage problems are remapped to 1."""
@@ -40,56 +39,52 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing.
+# Settings.  The config groups each command reads: ``model`` holds the
+# ModelParams fields and the ``.X`` species overrides of hubbard_u, eps0
+# and q_ref; ``scf`` the ``scf.<ScfConfig field>`` keys; ``mass`` the
+# ``mass`` and ``mass.X`` keys; ``norm`` the residual norm.
+
+_READS = {
+    "scf": ("model", "scf"),
+    "gen": ("model", "scf"),
+    "validate": ("model", "norm"),
+    "stats": (),
+    "grad": ("model", "norm"),
+    "md": ("model", "scf", "mass", "norm"),
+}
+_SCF_KEYS = frozenset(f"scf.{f.name}" for f in fields(scf.ScfConfig))
+# Parsed flags a record leaves out: those it records as settings, and
+# those that say where the run ran rather than what it computed.
+_UNRECORDED = frozenset({"command", "func", "seed", "norm", "config", "jobs", "out"})
 
 
-# The config keys some setting reads: the model fields, each species
-# field's and the mass's ``.X`` overrides, ``mass``, ``norm`` and
-# ``scf.<field>`` (the norm is set by ``norm`` alone).
-_CONFIG_KEYS = frozenset(
-    [f.name for f in fields(model.ModelParams)] + ["mass", "norm"]
-    + [f"scf.{f.name}" for f in fields(scf.ScfConfig) if f.name != "norm"]
-)
-_OVERRIDES = tuple(f"{name}." for name in (*model._SPECIES_FIELDS, "mass"))
+def _group(key: str):
+    """The config group that reads ``key``, or None."""
+    if key in _SCF_KEYS:
+        return "scf"
+    if key == "norm":
+        return "norm"
+    name, dot, species = key.partition(".")
+    if name == "mass" and (species or not dot):
+        return "mass"
+    if (key in model.ModelParams.__dataclass_fields__
+            or (name in model._SPECIES_FIELDS and species)):
+        return "model"
+    return None
 
 
-def _load_config(path) -> dict:
-    """The key/value pairs of a config file; a key no setting reads is an error."""
-    if path is None:
-        return {}
-    cfg = model.read_config(path)
-    unknown = [key for key in cfg if key not in _CONFIG_KEYS
-               and not (key.startswith(_OVERRIDES) and not key.endswith("."))]
-    if unknown:
-        raise ValueError(f"{path}: no setting reads config key(s) {', '.join(unknown)}")
-    return cfg
-
-
-def _resolve_norm(args, cfg) -> str:
-    norm = args.norm or cfg.get("norm", "frobenius")
-    if norm not in _NORMS:
-        raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
-    return norm
-
-
-def _scf_config(cfg: Mapping, norm: str) -> scf.ScfConfig:
+def _scf_config(cfg: Mapping) -> scf.ScfConfig:
     """ScfConfig from the ``scf.<field>`` keys; absent keys keep defaults."""
-    base = scf.ScfConfig(norm=norm)
-    keys = [f.name for f in fields(base) if f"scf.{f.name}" in cfg and f.name != "norm"]
+    base = scf.ScfConfig()
     typed = {}
-    for k in keys:
-        value = cfg[f"scf.{k}"]
+    for f in fields(base):
+        value = cfg.get(f"scf.{f.name}")
+        if value is None:
+            continue
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"scf.{k} must be finite")
-        typed[k] = type(getattr(base, k))(value)
+            raise ValueError(f"scf.{f.name} must be finite")
+        typed[f.name] = type(getattr(base, f.name))(value)
     return replace(base, **typed)
-
-
-def _settings(args) -> tuple:
-    """(config mapping, norm, model params, SCF config) of a run."""
-    cfg = _load_config(args.config)
-    norm = _resolve_norm(args, cfg)
-    return cfg, norm, model.model_params_from_config(cfg), _scf_config(cfg, norm)
 
 
 def _params_items(p: model.ModelParams) -> list:
@@ -106,29 +101,60 @@ def _params_items(p: model.ModelParams) -> list:
     return items
 
 
-def _write_resolved_config(out: Path, entries: list) -> None:
-    """Flat key=value record of everything the run actually used."""
-    lines = []
-    for key, value in entries:
-        lines.append(f"{key} = {model._fmt_value(value)}")
-    (out / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+class _Settings:
+    """What a command reads of ``--config``, and the record of its run.
+
+    Builds only the groups ``_READS`` gives the command: ``params``,
+    ``scf``, ``masses`` (per atom of ``species``) and ``norm``.  A config
+    key outside those groups is a ValueError naming it.
+    """
+
+    def __init__(self, args, species=()):
+        self.args = args
+        groups = _READS[args.command]
+        cfg = {} if args.config is None else model.read_config(args.config)
+        unread = [key for key in cfg if _group(key) not in groups]
+        if unread:
+            raise ValueError(f"{args.config}: scval {args.command} reads no "
+                             f"config key(s) {', '.join(unread)}")
+        self.items = [("command", args.command), ("seed", args.seed)]
+        if "norm" in groups:
+            self.norm = matcore.resolve_norm(
+                args.norm or cfg.get("norm", "frobenius"))
+            self.items.append(("norm", self.norm))
+        if "model" in groups:
+            self.params = model.model_params_from_config(cfg)
+            self.items += _params_items(self.params)
+        if "scf" in groups:
+            self.scf = _scf_config(cfg)
+            self.items += [(f"scf.{f.name}", getattr(self.scf, f.name))
+                           for f in fields(self.scf)]
+        if "mass" in groups:
+            self.masses = model.masses_from_config(cfg, species)
+            self.items += sorted({f"mass.{sp}": float(m)
+                                  for sp, m in zip(species, self.masses)}.items())
+
+    def write(self, out: Path, **worked) -> None:
+        """Write ``resolved_config.txt``: the settings, then the flags.
+
+        A flag is recorded as ``<command>.<flag>`` (the positional
+        geometry as ``geometry``), with the value ``worked`` gives for it
+        where the run worked one out; a flag without a value is left out.
+        """
+        flags = {**vars(self.args), **worked}
+        items = self.items + [
+            (key if key == "geometry" else f"{self.args.command}.{key}", value)
+            for key, value in flags.items()
+            if key not in _UNRECORDED and value is not None
+        ]
+        text = "".join(f"{key} = {model._fmt_value(value)}\n" for key, value in items)
+        (out / "resolved_config.txt").write_text(text)
 
 
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _common_entries(args, norm, p, scf_cfg) -> list:
-    entries = [("command", args.command), ("seed", args.seed), ("norm", norm)]
-    entries += _params_items(p)
-    entries += [
-        (f"scf.{f.name}", getattr(scf_cfg, f.name))
-        for f in fields(scf_cfg)
-        if f.name != "norm"
-    ]
-    return entries
 
 
 def _floats(text: str) -> list:
@@ -159,13 +185,11 @@ def _write_solution(out: Path, sol: model.ScfSolution, g) -> None:
 
 def cmd_scf(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg, norm, p, scf_cfg = _settings(args)
+    run = _Settings(args)
     out = _outdir(args)
-    _write_resolved_config(
-        out, _common_entries(args, norm, p, scf_cfg) + [("geometry", args.geometry)]
-    )
+    run.write(out)
     try:
-        sol = scf.scf_solve(g, p, scf_cfg)
+        sol = scf.scf_solve(g, run.params, run.scf)
     except NoConvergence as exc:
         print(f"scf: {exc}", file=sys.stderr)
         if exc.best is not None:
@@ -181,16 +205,16 @@ def cmd_scf(args) -> int:
 
 def cmd_gen(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg, norm, p, scf_cfg = _settings(args)
+    run = _Settings(args)
     ds = surrogate.generate_dataset(
         g,
-        p,
+        run.params,
         args.n,
         mode=args.mode,
         amplitude=args.amplitude,
         temperature=args.temperature,
         seed=args.seed,
-        scf_cfg=scf_cfg,
+        scf_cfg=run.scf,
         md_dt=args.md_dt,
         md_stride=args.md_stride,
         md_burnin=args.md_burnin,
@@ -198,21 +222,7 @@ def cmd_gen(args) -> int:
     )
     out = _outdir(args)
     surrogate.save_dataset(ds, out)
-    _write_resolved_config(
-        out,
-        _common_entries(args, norm, p, scf_cfg)
-        + [
-            ("geometry", args.geometry),
-            ("gen.n", args.n),
-            ("gen.mode", args.mode),
-            ("gen.amplitude", args.amplitude),
-            ("gen.temperature", args.temperature),
-            ("gen.md_dt", args.md_dt),
-            ("gen.md_stride", args.md_stride),
-            ("gen.md_burnin", args.md_burnin),
-            ("gen.md_tau", args.md_tau),
-        ],
-    )
+    run.write(out)
     return EXIT_OK
 
 
@@ -245,12 +255,9 @@ def _check_frames_match(frames, ds, path) -> None:
 
 
 def cmd_validate(args) -> int:
+    run = _Settings(args)
     ds = surrogate.load_dataset(args.dataset)
-    cfg, norm, p, scf_cfg = _settings(args)
-    extra = [
-        ("validate.dataset", args.dataset),
-        ("validate.predictor", args.predictor),
-    ]
+    worked = {}
 
     # predict(i, g, label) gives the records of entry i, of geometry g and
     # labeled solution label, as one stacked Prediction and their system
@@ -260,12 +267,7 @@ def cmd_validate(args) -> int:
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
         if len(sigmas_d) != len(sigmas_h):
             raise ValueError("--sigma and --sigma-d must have equal lengths")
-        extra += [
-            ("validate.sigma", args.sigma),
-            ("validate.sigma_d", args.sigma_d or args.sigma),
-            ("validate.repeat", args.repeat),
-            ("validate.shared_noise", int(args.shared_noise)),
-        ]
+        worked["sigma_d"] = args.sigma_d or args.sigma
         rows = [(j, k) for j in range(len(sigmas_h)) for k in range(args.repeat)]
 
         def predict(i, g, label):
@@ -280,11 +282,7 @@ def cmd_validate(args) -> int:
             return pred, [f"{i:04d}:s{j}:r{k}" for j, k in rows]
     elif args.predictor == "kernel":
         km, train = _kernel_from_args(args)
-        extra += [
-            ("validate.train", args.train),
-            ("validate.bandwidth", km.bandwidth),
-            ("validate.k", km.k_neighbors),
-        ]
+        worked.update(bandwidth=km.bandwidth, k=km.k_neighbors)
 
         def predict(i, g, label):
             pred = surrogate.kernel_predict(km, g)
@@ -294,7 +292,6 @@ def cmd_validate(args) -> int:
     elif args.predictor == "external-file":
         if not args.pred:
             raise ValueError("external-file predictor needs --pred DIR")
-        extra.append(("validate.pred", args.pred))
         frames, stacks = surrogate._read_stack(args.pred, "HD")
         _check_frames_match(frames, ds, args.pred)
 
@@ -310,13 +307,14 @@ def cmd_validate(args) -> int:
         g, label = ds.geometry(i), ds.label(i)
         pred, systems = predict(i, g, label)
         tables.append(validator.full_report(
-            pred, label, model.Context(g, p), norm=norm, system=systems,
+            pred, label, model.Context(g, run.params), norm=run.norm,
+            system=systems,
         ))
     reports = validator.ReportTable.concat(tables)
 
     out = _outdir(args)
     validator.write_reports_csv(out / "reports.csv", reports)
-    _write_resolved_config(out, _common_entries(args, norm, p, scf_cfg) + extra)
+    run.write(out, **worked)
     return EXIT_OK
 
 
@@ -325,9 +323,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    run = _Settings(args)
     reports = validator.read_reports_csv(args.reports)
-    cfg = _load_config(args.config)
-    norm = _resolve_norm(args, cfg)
     targets = tuple(
         tok.strip() for tok in args.targets.split(",") if tok.strip()
     )
@@ -346,20 +343,7 @@ def cmd_stats(args) -> int:
         stats.write_binned_csv(out / f"binned_{target}.csv", entry.bins)
         ys = stats.series(reports, target)
         stats.write_plot_data_csv(out / f"plotdata_{target}.csv", xs, ys, entry)
-    _write_resolved_config(
-        out,
-        [
-            ("command", args.command),
-            ("seed", args.seed),
-            ("norm", norm),
-            ("stats.reports", args.reports),
-            ("stats.condition", args.condition),
-            ("stats.targets", ",".join(targets)),
-            ("stats.bins", args.bins),
-            ("stats.scheme", args.scheme),
-            ("stats.min_count", args.min_count),
-        ],
-    )
+    run.write(out, targets=",".join(targets))
     return EXIT_OK
 
 
@@ -369,11 +353,11 @@ def cmd_stats(args) -> int:
 
 def cmd_grad(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg, norm, p, scf_cfg = _settings(args)
+    run = _Settings(args)
     km, _ = _kernel_from_args(args)
     predictor = lambda gg: surrogate.kernel_predict(km, gg)
     grad = validator.self_diis_position_gradient(
-        g, p, predictor, step=args.step, norm=norm
+        g, run.params, predictor, step=args.step, norm=run.norm
     )
     out = _outdir(args)
     with open(out / "gradient.csv", "w", newline="") as fh:
@@ -384,17 +368,7 @@ def cmd_grad(args) -> int:
             fh.write(
                 f"{i},{g.species[i]},{gx:.17g},{gy:.17g},{gz:.17g},{mag:.17g}\n"
             )
-    _write_resolved_config(
-        out,
-        _common_entries(args, norm, p, scf_cfg)
-        + [
-            ("geometry", args.geometry),
-            ("grad.train", args.train),
-            ("grad.step", args.step),
-            ("grad.bandwidth", km.bandwidth),
-            ("grad.k", km.k_neighbors),
-        ],
-    )
+    run.write(out, bandwidth=km.bandwidth, k=km.k_neighbors)
     print(f"gradient norm {float(np.linalg.norm(grad)):.17g}")
     return EXIT_OK
 
@@ -405,20 +379,15 @@ def cmd_grad(args) -> int:
 
 def cmd_md(args) -> int:
     g = model.load_geometry(args.geometry)
-    cfg, norm, p, scf_cfg = _settings(args)
-    masses = model.masses_from_config(cfg, g.species)
+    run = _Settings(args, g.species)
 
     predictor = None
     threshold = args.threshold
-    extra = []
+    worked = {}
     if args.mode in ("surrogate_only", "predictor_corrector"):
         km, train = _kernel_from_args(args)
         predictor = lambda gg: surrogate.kernel_predict(km, gg)
-        extra += [
-            ("md.train", args.train),
-            ("md.bandwidth", km.bandwidth),
-            ("md.k", km.k_neighbors),
-        ]
+        worked.update(bandwidth=km.bandwidth, k=km.k_neighbors)
         if args.mode == "predictor_corrector" and threshold is None:
             if args.calibrate_percentile is None:
                 raise ValueError(
@@ -426,13 +395,11 @@ def cmd_md(args) -> int:
                     "--calibrate-percentile"
                 )
             loo = surrogate.kernel_loo(
-                train, bandwidth=args.bandwidth, k_neighbors=args.k, norm=norm
+                train, bandwidth=args.bandwidth, k_neighbors=args.k,
+                norm=run.norm,
             )
             threshold = float(
                 np.percentile(loo["self_diis"], args.calibrate_percentile)
-            )
-            extra.append(
-                ("md.calibrate_percentile", args.calibrate_percentile)
             )
 
     md_cfg = mdsim.MdConfig(
@@ -443,10 +410,10 @@ def cmd_md(args) -> int:
         threshold=threshold,
         mode=args.mode,
         seed=args.seed,
-        norm=norm,
+        norm=run.norm,
     )
-    result = mdsim.run_md(g, p, md_cfg, predictor=predictor, masses=masses,
-                          scf_cfg=scf_cfg)
+    result = mdsim.run_md(g, run.params, md_cfg, predictor=predictor,
+                          masses=run.masses, scf_cfg=run.scf)
     out = _outdir(args)
     mdsim.write_trajectory_xyz(out / "trajectory.xyz", result, g, args.dt)
     mdsim.write_steps_csv(out / "steps.csv", result)
@@ -457,20 +424,7 @@ def cmd_md(args) -> int:
         fh.write(f"diverged = {int(result.diverged)}\n")
         fh.write(f"aborted = {result.aborted or 'none'}\n")
         fh.write(f"mean_t_last_half = {float(half.mean()):.17g}\n")
-    _write_resolved_config(
-        out,
-        _common_entries(args, norm, p, scf_cfg)
-        + [
-            ("geometry", args.geometry),
-            ("md.mode", args.mode),
-            ("md.steps", args.steps),
-            ("md.t_target", args.t_target),
-            ("md.dt", args.dt),
-            ("md.tau", args.tau),
-            ("md.threshold", threshold if threshold is not None else ""),
-        ]
-        + extra,
-    )
+    run.write(out, threshold=threshold, **worked)
     if result.aborted:
         print(f"md: aborted: {result.aborted}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -488,13 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int, default=0,
                         help="global random seed (default 0)")
-    common.add_argument("--norm", choices=_NORMS,
-                        help="residual norm (default frobenius)")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted and ignored; every command runs "
                              "in one thread")
     common.add_argument("--out", default=".",
                         help="output directory (default current)")
+
+    # The commands that report a residual.
+    norm_flag = _Parser(add_help=False)
+    norm_flag.add_argument("--norm", choices=matcore.NORMS,
+                           help="residual norm (default frobenius)")
 
     kernel_flags = _Parser(add_help=False)
     kernel_flags.add_argument("--train", help="training dataset directory")
@@ -528,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--md-tau", type=float, default=100.0)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_val = sub.add_parser("validate", parents=[common, kernel_flags],
+    p_val = sub.add_parser("validate", parents=[common, norm_flag, kernel_flags],
                            help="score predictions against a labeled dataset")
     p_val.add_argument("--dataset", required=True,
                        help="labeled dataset directory")
@@ -558,14 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--min-count", type=int, default=5)
     p_stats.set_defaults(func=cmd_stats)
 
-    p_grad = sub.add_parser("grad", parents=[common, kernel_flags],
+    p_grad = sub.add_parser("grad", parents=[common, norm_flag, kernel_flags],
                             help="self-consistency gradient of a predictor")
     p_grad.add_argument("geometry")
     p_grad.add_argument("--step", type=float, default=1e-4,
                         help="central-difference step in A")
     p_grad.set_defaults(func=cmd_grad)
 
-    p_md = sub.add_parser("md", parents=[common, kernel_flags],
+    p_md = sub.add_parser("md", parents=[common, norm_flag, kernel_flags],
                           help="velocity-Verlet trajectory")
     p_md.add_argument("geometry")
     p_md.add_argument("--mode", required=True,
@@ -577,9 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_md.add_argument("--dt", type=float, default=0.5, help="time step, fs")
     p_md.add_argument("--tau", type=float, default=100.0,
                       help="thermostat time constant, fs (inf for NVE)")
-    p_md.add_argument("--threshold", type=float,
+    gate = p_md.add_mutually_exclusive_group()
+    gate.add_argument("--threshold", type=float,
                       help="self-consistency gate (predictor_corrector)")
-    p_md.add_argument("--calibrate-percentile", type=float,
+    gate.add_argument("--calibrate-percentile", type=float,
                       help="derive the gate from this percentile of the "
                            "training leave-one-out residuals")
     p_md.set_defaults(func=cmd_md)

@@ -43,12 +43,8 @@ LIN_DEP_TOL = 1e-10
 # HOMO/LUMO closer than this makes the aufbau filling ambiguous.
 DEGENERACY_TOL = 1e-9
 
-_NORM_ALIASES = {
-    "frobenius": "frobenius",
-    "fro": "frobenius",
-    "elementwise_mae": "elementwise_mae",
-    "mae": "elementwise_mae",
-}
+# The residual norms: Frobenius, or the mean of |e_ij|.
+NORMS = ("frobenius", "mae")
 
 
 @dataclass
@@ -197,12 +193,10 @@ def commutator_error(h, d, s) -> np.ndarray:
 
 
 def resolve_norm(norm: str) -> str:
-    try:
-        return _NORM_ALIASES[norm]
-    except KeyError:
-        raise ValueError(
-            f"unknown norm {norm!r}; expected one of {sorted(set(_NORM_ALIASES))}"
-        ) from None
+    """``norm`` itself if it is one of ``NORMS``; a ValueError otherwise."""
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+    return norm
 
 
 def error_magnitude(e, norm: str = "frobenius"):
@@ -211,8 +205,7 @@ def error_magnitude(e, norm: str = "frobenius"):
     A (B, n, n) stack of residuals gives B scalars.
     """
     e = np.asarray(e, dtype=float)
-    kind = resolve_norm(norm)
-    if kind == "frobenius":
+    if resolve_norm(norm) == "frobenius":
         return np.sqrt((e * e).sum(axis=(-2, -1)))
     return np.abs(e).mean(axis=(-2, -1))
 

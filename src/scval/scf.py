@@ -17,11 +17,13 @@ nonlinear acceleration: Scieur, d'Aspremont & Bach, Math. Program. 179,
 plain linear mixing.  The history is two preallocated (diis_depth, n)
 arrays, oldest row first: residuals and damped charges.
 
-The commutator residual at D is the stopping test, so the returned pair
-keeps H = H(D) exactly and D is always an aufbau density.  Each solve
-builds one :class:`model.Context` and takes S, X, H0, U, q_ref and E_rep
-from it; one ``Context.response`` call per iteration gives q, H(D) and
-E(D) of the new density from a single Mulliken pass.
+The stopping test is the Frobenius norm of the commutator residual at
+D, whatever norm a caller reports residuals in.  It is taken at D, so
+the returned pair keeps H = H(D) exactly and D is always an aufbau
+density.  Each solve builds one :class:`model.Context` and takes S, X,
+H0, U, q_ref and E_rep from it; one ``Context.response`` call per
+iteration gives q, H(D) and E(D) of the new density from a single
+Mulliken pass.
 """
 
 from __future__ import annotations
@@ -55,15 +57,17 @@ HARD_AFTER = 40
 class ScfConfig:
     """Iteration limits and mixing knobs.
 
-    ``damping`` is the weight of the output charges in each linear
-    mixing step, q_in + damping (q(D) - q_in); ``diis_depth`` the number
-    of recent iterations the regularized Anderson weights combine, and
-    ``diis_start`` the first iteration that combines more than the
-    latest one.  Setting ``diis_start`` beyond ``max_iter`` gives plain
-    linear mixing; since H is affine in q and q in D, that follows the
-    Hamiltonians of density damping started from a density with the
-    reference charges.  The regularization is a module constant
-    (``REGULARIZATION``), not a setting.
+    A solve stops once the Frobenius norm of its commutator residual
+    H D S - S D H is at most ``tol``.  ``damping`` is the weight of the
+    output charges in each linear mixing step, q_in + damping (q(D) -
+    q_in); ``diis_depth`` the number of recent iterations the
+    regularized Anderson weights combine, and ``diis_start`` the first
+    iteration that combines more than the latest one.  Setting
+    ``diis_start`` beyond ``max_iter`` gives plain linear mixing; since H
+    is affine in q and q in D, that follows the Hamiltonians of density
+    damping started from a density with the reference charges.  The
+    regularization is a module constant (``REGULARIZATION``), not a
+    setting.
     """
 
     max_iter: int = 200
@@ -71,7 +75,6 @@ class ScfConfig:
     damping: float = 0.3
     diis_depth: int = 8
     diis_start: int = 2
-    norm: str = "frobenius"
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -82,7 +85,6 @@ class ScfConfig:
             raise ValueError("diis_depth must be at least 2")
         if not 0 < self.tol < math.inf:  # NaN fails too
             raise ValueError("tol must be positive and finite")
-        matcore.resolve_norm(self.norm)
 
 
 def _package(ctx, d, h, err, e_total, iterations, converged,
@@ -128,7 +130,7 @@ def scf_solve(
         d = (orbs * matcore.aufbau_occupations(levels, g.n_electrons)) @ orbs.T
         d = 0.5 * (d + d.T)
         q, h, e_total = ctx.response(d)
-        err = matcore.error_magnitude(h @ d @ s - s @ d @ h, cfg.norm)
+        err = matcore.error_magnitude(h @ d @ s - s @ d @ h)
         trace.append((it, err, e_total))
         if best is None or err < best[0]:
             best = (err, d, h, e_total, it)

@@ -185,14 +185,12 @@ def correlation_report(
     n_bins: int = 20,
     scheme: str = "equal_count",
     min_count: int = 5,
-    raw_points: bool = False,
 ) -> dict:
     """Per-target (mean fit, std fit, bins) keyed by target name.
 
-    Mean regressions run on bin centers vs bin means (or on the raw
-    scatter when ``raw_points`` is set); the spread regression always
-    uses the binned standard deviations.  Bins holding fewer than
-    ``min_count`` records are excluded from the fits.
+    Mean regressions run on bin centers vs bin means; the spread
+    regression uses the binned standard deviations.  Bins holding fewer
+    than ``min_count`` records are excluded from the fits.
     """
     if not len(reports):
         raise InsufficientData("no reports")
@@ -207,10 +205,7 @@ def correlation_report(
             raise InsufficientData(
                 f"{target}: only {int(keep.sum())} usable bins for regression"
             )
-        if raw_points:
-            mean_fit = linfit(xs, ys)
-        else:
-            mean_fit = linfit(centers[keep], bins.means[keep])
+        mean_fit = linfit(centers[keep], bins.means[keep])
         keep_std = keep & np.isfinite(bins.stds) & (bins.counts >= 2)
         if keep_std.sum() < 3 or np.unique(centers[keep_std]).size < 3:
             raise InsufficientData(

@@ -30,7 +30,7 @@ from .errors import (
     SpeciesMismatch,
 )
 from .rng import substream
-from .validator import Prediction
+from .validator import Prediction, matrix_mae, self_diis
 
 __all__ = [
     "Dataset",
@@ -363,24 +363,22 @@ def kernel_loo(
     the held-out predictions; the self_diis array is what threshold
     calibration takes its percentile from.
     """
-    from .validator import self_diis as _self_diis
-
     m, full = _fit(ds, bandwidth, k_neighbors)
     n_entries = len(ds)
     if n_entries < 2:
         raise EmptyDataset("leave-one-out needs at least two entries")
     if full is None:
         full = _descriptor_distances(m.descriptors)
+        np.fill_diagonal(full, np.inf)  # as _fit's: each entry held out
     loo_model = replace(m, k_neighbors=min(m.k_neighbors, n_entries - 1))
-    out = {"self_diis": [], "mae_h": [], "mae_d": []}
-    for i in range(n_entries):
-        dists = full[i].copy()
-        dists[i] = np.inf  # hold the entry itself out
-        pred = _kernel_average(loo_model, dists)
-        out["self_diis"].append(_self_diis(pred, ds.overlap[i], norm))
-        out["mae_h"].append(float(np.abs(pred.h_pred - ds.hamiltonian[i]).mean()))
-        out["mae_d"].append(float(np.abs(pred.d_pred - ds.density[i]).mean()))
-    return {k: np.array(v) for k, v in out.items()}
+    preds = [_kernel_average(loo_model, dists) for dists in full]
+    stack = Prediction(np.stack([pred.h_pred for pred in preds]),
+                       np.stack([pred.d_pred for pred in preds]))
+    return {
+        "self_diis": self_diis(stack, ds.overlap, norm),
+        "mae_h": matrix_mae(stack.h_pred, ds.hamiltonian),
+        "mae_d": matrix_mae(stack.d_pred, ds.density),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -115,14 +115,110 @@ def test_config_key_no_setting_reads_exits_one(work, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "scf.tolerance" in err and "alpah" in err
-    # Every key some setting reads is still accepted.
+    # Every key of the groups scf reads, model and scf, is accepted.
     cfg.write_text("t0 = 2.5\nalpha = 0.7\neps0 = 0.0\neps0.A = -0.5\n"
-                   "hubbard_u.A = 8.0\nq_ref.A = 1.0\nmass = 12.0\n"
-                   "mass.A = 10.8\nnorm = frobenius\nscf.tol = 1e-9\n"
+                   "hubbard_u.A = 8.0\nq_ref.A = 1.0\nscf.tol = 1e-9\n"
                    "scf.max_iter = 300\nscf.damping = 0.3\n"
                    "scf.diis_depth = 8\nscf.diis_start = 2\n")
     assert cli.main(["scf", str(work["ring"]), "--config", str(cfg),
                      "--out", str(tmp_path / "ok")]) == 0
+    # scf reads no mass and no norm.
+    cfg.write_text("mass = 12.0\nmass.A = 10.8\nnorm = frobenius\n")
+    assert cli.main(["scf", str(work["ring"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "no")]) == 1
+    assert "mass, mass.A, norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["stats", "--reports", "{ds}/absent.csv"], "t0"),
+    (["gen", "{ring}", "--n", "2"], "mass"),
+    (["validate", "--dataset", "{ds}", "--predictor", "oracle-noise"], "scf.tol"),
+    (["scf", "{ring}"], "norm"),
+])
+def test_config_key_outside_the_command_groups_exits_one(work, tmp_path, capsys,
+                                                         argv, key):
+    # Each of these keys is read by some command, but not by this one.
+    (tmp_path / "run.cfg").write_text(f"{key} = 1\n")
+    argv = [a.format(ring=work["ring"], ds=work["ds"]) for a in argv]
+    code = cli.main(argv + ["--config", str(tmp_path / "run.cfg"),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"reads no config key(s) {key}" in capsys.readouterr().err
+
+
+def test_md_threshold_and_percentile_clash_exits_one(work, tmp_path):
+    # Giving both used to drop the percentile without a word.
+    with pytest.raises(SystemExit) as err:
+        cli.main(["md", str(work["ring"]), "--mode", "predictor_corrector",
+                  "--train", str(work["ds"]), "--threshold", "0.1",
+                  "--calibrate-percentile", "50", "--steps", "2",
+                  "--t-target", "300", "--out", str(tmp_path)])
+    assert err.value.code == 1
+
+
+@pytest.fixture(scope="module")
+def records(work, reports_csv):
+    """The resolved_config.txt of one run of every command, by command."""
+    base = work["base"] / "records"
+    (base / "reports.csv").parent.mkdir()
+    (base / "reports.csv").write_bytes(reports_csv)
+    ring, ds = str(work["ring"]), str(work["ds"])
+    runs = {
+        "scf": ["scf", ring],
+        "gen": ["gen", ring, "--n", "2"],
+        "validate": ["validate", "--dataset", ds, "--predictor", "oracle-noise"],
+        "stats": ["stats", "--reports", str(base / "reports.csv"), "--bins", "8"],
+        "grad": ["grad", ring, "--train", ds, "--k", "4"],
+        "md": ["md", ring, "--mode", "exact", "--steps", "2",
+               "--t-target", "300"],
+    }
+    for name, argv in runs.items():
+        assert cli.main(argv + ["--out", str(base / name)]) == 0, name
+    return {name: base / name / "resolved_config.txt" for name in runs}
+
+
+def test_every_record_parses_as_a_config(records):
+    for name, path in records.items():
+        record = model.read_config(path)
+        assert record["command"] == name
+    # An exact run has no gate, so it records no threshold.
+    assert "md.threshold" not in model.read_config(records["md"])
+
+
+def test_records_hold_the_groups_each_command_reads(records):
+    keys = {name: set(model.read_config(path)) for name, path in records.items()}
+    assert "mass.A" in keys["md"]
+    assert {"norm", "scf.tol", "t0"} <= keys["md"]
+    for name in ("validate", "grad", "stats"):
+        assert not [k for k in keys[name] if k.startswith("scf.")], name
+    assert not [k for k in keys["stats"] if k not in ("command", "seed")
+                and not k.startswith("stats.")]
+    assert "norm" not in keys["scf"] | keys["gen"] | keys["stats"]
+
+
+def test_md_record_settings_reproduce_the_run(work, tmp_path):
+    (tmp_path / "run.cfg").write_text("mass = 2.0\nt0 = 9.0\nscf.tol = 1e-3\n")
+    argv = ["md", str(work["ring"]), "--mode", "exact", "--steps", "6",
+            "--t-target", "300", "--seed", "3"]
+    assert cli.main(argv + ["--config", str(tmp_path / "run.cfg"),
+                            "--out", str(tmp_path / "a")]) == 0
+    # The settings lines of the record, fed back as the config.
+    settings_lines = [
+        line for line in (tmp_path / "a" / "resolved_config.txt").read_text().splitlines()
+        if line.split(" = ")[0] not in ("command", "seed", "geometry")
+        and not line.startswith("md.")
+    ]
+    assert "mass.A = 2" in settings_lines
+    (tmp_path / "record.cfg").write_text("\n".join(settings_lines) + "\n")
+    assert cli.main(argv + ["--config", str(tmp_path / "record.cfg"),
+                            "--out", str(tmp_path / "b")]) == 0
+    for name in ("trajectory.xyz", "steps.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+    # The settings changed the run: the default settings give another one.
+    assert cli.main(argv + ["--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "a" / "steps.csv").read_bytes() != \
+        (tmp_path / "c" / "steps.csv").read_bytes()
 
 
 def test_parser_is_built_once_and_calls_do_not_leak(work, tmp_path):
@@ -371,7 +467,7 @@ def test_mutated_config_gives_typed_errors(mutations):
     try:
         model.model_params_from_config(cfg)
         model.masses_from_config(cfg, ("A", "B"))
-        cli._scf_config(cfg, "frobenius")
+        cli._scf_config(cfg)
     except ValueError:
         pass
 

@@ -263,11 +263,14 @@ def test_error_magnitude_zero_and_homogeneity():
 
 
 def test_resolve_norm_aliases_and_rejection():
-    assert matcore.resolve_norm("fro") == "frobenius"
-    assert matcore.resolve_norm("mae") == "elementwise_mae"
-    assert matcore.resolve_norm("elementwise_mae") == "elementwise_mae"
-    with pytest.raises(ValueError):
-        matcore.resolve_norm("spectral")
+    # One vocabulary: the names in NORMS, and no aliases.
+    for norm in matcore.NORMS:
+        assert matcore.resolve_norm(norm) == norm
+    for name in ("fro", "elementwise_mae", "spectral"):
+        with pytest.raises(ValueError):
+            matcore.resolve_norm(name)
+        with pytest.raises(ValueError):
+            matcore.error_magnitude(np.eye(2), name)
 
 
 def test_validate_symmetric():

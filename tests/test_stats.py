@@ -265,19 +265,6 @@ def test_binning_schemes_agree_on_r_squared():
         assert gap < 0.1
 
 
-def test_raw_points_fit_uses_every_record():
-    reports = synthetic_reports(400)
-    binned = stats.correlation_report(reports, targets=("strict_diis",))
-    raw = stats.correlation_report(reports, targets=("strict_diis",),
-                                   raw_points=True)
-    assert raw["strict_diis"].mean_fit.n_points == 400
-    assert binned["strict_diis"].mean_fit.n_points < 400
-    # Both see the same underlying slope.
-    assert raw["strict_diis"].mean_fit.slope == pytest.approx(
-        binned["strict_diis"].mean_fit.slope, rel=0.2
-    )
-
-
 def test_min_count_excludes_thin_bins():
     reports = synthetic_reports(100)
     with pytest.raises(InsufficientData):

@@ -20,7 +20,7 @@ from scval.errors import (
 )
 from scval.rng import substream
 from scval.surrogate import Dataset
-from scval.systems import chain_geometry
+from scval.systems import chain_geometry, ring_geometry
 
 P = model.ModelParams()
 
@@ -252,6 +252,39 @@ def test_kernel_prediction_symmetric_and_deterministic():
     np.testing.assert_array_equal(p1.h_pred, p2.h_pred)
     np.testing.assert_array_equal(p1.h_pred, p1.h_pred.T)
     np.testing.assert_array_equal(p1.d_pred, p1.d_pred.T)
+
+
+@pytest.fixture(scope="module")
+def ring_kernel():
+    """A kernel model of 16 perturbed six-atom rings, and a perturbed query."""
+    ring = ring_geometry(6, spacing=1.5, n_electrons=6)
+    km = surrogate.kernel_fit(
+        surrogate.generate_dataset(ring, P, 16, amplitude=0.05, seed=1))
+    shift = np.random.default_rng(2).normal(0.0, 0.05, ring.positions.shape)
+    return km, ring.with_positions(ring.positions + shift)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_prediction_is_invariant_under_rigid_motion(ring_kernel, seed):
+    # A proper rotation plus a translation of the query moves neither the
+    # energy of the predicted density nor the prediction's self residual.
+    km, query = ring_kernel
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    rot *= np.linalg.det(rot)  # proper rotation
+    moved = query.with_positions(query.positions @ rot.T
+                                 + rng.uniform(-10.0, 10.0, 3))
+    values = []
+    for g in (query, moved):
+        pred = surrogate.kernel_predict(km, g)
+        ctx = model.Context(g, P)
+        values.append((ctx.response(pred.d_pred)[2],
+                       validator.self_diis(pred, ctx.s)))
+    (e, res), (e_moved, res_moved) = values
+    assert res > 0.0
+    assert abs(e_moved - e) <= 1e-10 * abs(e)
+    assert abs(res_moved - res) <= 1e-10 * res
 
 
 def test_kernel_rejects_mismatched_query():
