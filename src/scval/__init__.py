@@ -24,7 +24,6 @@ from .errors import (
 from .matcore import (
     EigSolution,
     aufbau_occupations,
-    build_density,
     commutator_error,
     error_magnitude,
     gen_eigensolve,

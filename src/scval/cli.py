@@ -106,10 +106,13 @@ class _Settings:
 
     Builds only the groups ``_READS`` gives the command: ``params``,
     ``scf``, ``masses`` (per atom of ``species``) and ``norm``.  A config
-    key outside those groups is a ValueError naming it.
+    key outside those groups is a ValueError naming it, and so is a
+    species override (``eps0.X``, ``mass.X``, ...) whose X is not among
+    the run's ``species``; a command that learns its species later
+    passes none and calls :meth:`check_species` then.
     """
 
-    def __init__(self, args, species=()):
+    def __init__(self, args, species=None):
         self.args = args
         groups = _READS[args.command]
         cfg = {} if args.config is None else model.read_config(args.config)
@@ -117,6 +120,11 @@ class _Settings:
         if unread:
             raise ValueError(f"{args.config}: scval {args.command} reads no "
                              f"config key(s) {', '.join(unread)}")
+        # The X of each species override; "*" is the fallback, not a species.
+        self._overrides = {key: key.partition(".")[2] for key in cfg
+                           if _group(key) in ("model", "mass") and "." in key}
+        if species is not None:
+            self.check_species(species)
         self.items = [("command", args.command), ("seed", args.seed)]
         if "norm" in groups:
             self.norm = matcore.resolve_norm(
@@ -133,6 +141,15 @@ class _Settings:
             self.masses = model.masses_from_config(cfg, species)
             self.items += sorted({f"mass.{sp}": float(m)
                                   for sp, m in zip(species, self.masses)}.items())
+
+    def check_species(self, species) -> None:
+        """A ValueError naming each override of a species not in ``species``."""
+        absent = [key for key, sp in self._overrides.items()
+                  if sp != "*" and sp not in species]
+        if absent:
+            raise ValueError(
+                f"{self.args.config}: {', '.join(absent)}: no such species in "
+                f"this run (its species: {', '.join(sorted(set(species)))})")
 
     def write(self, out: Path, **worked) -> None:
         """Write ``resolved_config.txt``: the settings, then the flags.
@@ -185,7 +202,7 @@ def _write_solution(out: Path, sol: model.ScfSolution, g) -> None:
 
 def cmd_scf(args) -> int:
     g = model.load_geometry(args.geometry)
-    run = _Settings(args)
+    run = _Settings(args, g.species)
     out = _outdir(args)
     run.write(out)
     try:
@@ -205,7 +222,7 @@ def cmd_scf(args) -> int:
 
 def cmd_gen(args) -> int:
     g = model.load_geometry(args.geometry)
-    run = _Settings(args)
+    run = _Settings(args, g.species)
     ds = surrogate.generate_dataset(
         g,
         run.params,
@@ -257,11 +274,13 @@ def _check_frames_match(frames, ds, path) -> None:
 def cmd_validate(args) -> int:
     run = _Settings(args)
     ds = surrogate.load_dataset(args.dataset)
+    run.check_species(ds.species)
     worked = {}
 
-    # predict(i, g, label) gives the records of entry i, of geometry g and
-    # labeled solution label, as one stacked Prediction and their system
-    # names.
+    # predict(entries, label) gives the records of the entries of a block
+    # (a range), entry by entry, as one stacked Prediction and their
+    # system names; ``label`` holds each record's labeled solution.  An
+    # entry has ``per_entry`` records.
     if args.predictor == "oracle-noise":
         sigmas_h = _floats(args.sigma)
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
@@ -269,46 +288,60 @@ def cmd_validate(args) -> int:
             raise ValueError("--sigma and --sigma-d must have equal lengths")
         worked["sigma_d"] = args.sigma_d or args.sigma
         rows = [(j, k) for j in range(len(sigmas_h)) for k in range(args.repeat)]
+        if not rows:
+            raise ValueError("--sigma and --repeat give no records per entry")
+        per_entry = len(rows)
 
-        def predict(i, g, label):
-            # One stream per row, whatever the evaluation order.
+        def predict(entries, label):
+            keys = [(i, j, k) for i in entries for j, k in rows]
+            # One stream per record, whatever the evaluation order.
             pred = surrogate.oracle_noise_predict(
                 label,
-                [sigmas_h[j] for j, _ in rows],
-                [sigmas_d[j] for j, _ in rows],
-                [substream(args.seed, "oracle-noise", i, j, k) for j, k in rows],
+                [sigmas_h[j] for _, j, _ in keys],
+                [sigmas_d[j] for _, j, _ in keys],
+                [substream(args.seed, "oracle-noise", *key) for key in keys],
                 shared_noise=args.shared_noise,
             )
-            return pred, [f"{i:04d}:s{j}:r{k}" for j, k in rows]
+            return pred, [f"{i:04d}:s{j}:r{k}" for i, j, k in keys]
     elif args.predictor == "kernel":
         km, train = _kernel_from_args(args)
         worked.update(bandwidth=km.bandwidth, k=km.k_neighbors)
+        per_entry = 1
 
-        def predict(i, g, label):
-            pred = surrogate.kernel_predict(km, g)
-            stack = validator.Prediction(pred.h_pred[None], pred.d_pred[None],
-                                         pred.source)
-            return stack, [f"{i:04d}"]
+        def predict(entries, label):
+            preds = [surrogate.kernel_predict(km, ds.geometry(i)) for i in entries]
+            stack = validator.Prediction(np.stack([p.h_pred for p in preds]),
+                                         np.stack([p.d_pred for p in preds]),
+                                         "kernel")
+            return stack, [f"{i:04d}" for i in entries]
     elif args.predictor == "external-file":
         if not args.pred:
             raise ValueError("external-file predictor needs --pred DIR")
         frames, stacks = surrogate._read_stack(args.pred, "HD")
         _check_frames_match(frames, ds, args.pred)
+        per_entry = 1
 
-        def predict(i, g, label):
-            pred = validator.Prediction(stacks["H"][i:i + 1], stacks["D"][i:i + 1])
-            return pred, [f"{i:04d}"]
+        def predict(entries, label):
+            block = slice(entries.start, entries.stop)
+            pred = validator.Prediction(stacks["H"][block], stacks["D"][block])
+            return pred, [f"{i:04d}" for i in entries]
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown predictor {args.predictor!r}")
 
-    # One stacked pass per entry, over one context of its geometry.
+    # Blocks of whole entries, at most _ROWS_PER_WRITE records each.  A
+    # block's geometry terms are built once per entry, in one Context, and
+    # indexed out to its records; its records are scored in one pass.
+    size = max(1, validator._ROWS_PER_WRITE // per_entry)
     tables = []
-    for i in range(len(ds)):
-        g, label = ds.geometry(i), ds.label(i)
-        pred, systems = predict(i, g, label)
+    for start in range(0, len(ds), size):
+        block = slice(start, start + size)
+        entries = range(len(ds))[block]
+        ctx = model.Context(ds.geometry(block), run.params)
+        owner = np.repeat(np.arange(len(entries)), per_entry)  # record -> block entry
+        label = ds.label(start + owner)
+        pred, systems = predict(entries, label)
         tables.append(validator.full_report(
-            pred, label, model.Context(g, run.params), norm=run.norm,
-            system=systems,
+            pred, label, ctx.take(owner), norm=run.norm, system=systems,
         ))
     reports = validator.ReportTable.concat(tables)
 
@@ -353,7 +386,7 @@ def cmd_stats(args) -> int:
 
 def cmd_grad(args) -> int:
     g = model.load_geometry(args.geometry)
-    run = _Settings(args)
+    run = _Settings(args, g.species)
     km, _ = _kernel_from_args(args)
     predictor = lambda gg: surrogate.kernel_predict(km, gg)
     grad = validator.self_diis_position_gradient(

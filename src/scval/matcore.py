@@ -1,6 +1,6 @@
 """Dense symmetric-matrix kernel: orthogonalization, generalized
-eigensolve, density construction, and the commutator residual that the
-whole validation scheme is built on.
+eigensolve, aufbau filling, and the commutator residual that the whole
+validation scheme is built on.
 
 Matrices are plain float64 numpy arrays.  Eigendecompositions delegate to
 numpy's LAPACK bindings; everything layered on top is written out here.
@@ -28,7 +28,6 @@ __all__ = [
     "loewdin_inverse_sqrt",
     "gen_eigensolve",
     "aufbau_occupations",
-    "build_density",
     "commutator_error",
     "error_magnitude",
     "resolve_norm",
@@ -86,19 +85,21 @@ def validate_symmetric(m, name="matrix") -> np.ndarray:
 
 
 def loewdin_inverse_sqrt(s, lin_dep_tol: float = LIN_DEP_TOL) -> np.ndarray:
-    """Symmetric orthogonalizer X = S^(-1/2).
+    """Symmetric orthogonalizer X = S^(-1/2) of one overlap or a (B, n, n) stack.
 
-    Eigendecomposes the overlap and rebuilds U diag(w^-1/2) U^T.  Any
+    Eigendecomposes each overlap and rebuilds U diag(w^-1/2) U^T.  Any
     overlap eigenvalue at or below ``lin_dep_tol`` means the basis is
     (numerically) linearly dependent and the transform is refused.
     """
-    s = _as_square(s, "overlap")
+    s = np.asarray(s, dtype=float)
+    if s.ndim not in (2, 3) or s.shape[-1] != s.shape[-2]:
+        raise DimensionMismatch(f"overlap must be square, got shape {s.shape}")
     w, u = np.linalg.eigh(s)
     if w.min() <= lin_dep_tol:
         raise LinearDependence(
             f"overlap eigenvalue {w.min():.3e} <= tolerance {lin_dep_tol:.1e}"
         )
-    x = (u * w**-0.5) @ u.T
+    x = (u * w[..., None, :] ** -0.5) @ u.swapaxes(-1, -2)
     return symmetrize(x)
 
 
@@ -160,17 +161,6 @@ def aufbau_occupations(
     occ = np.zeros(n)
     occ[:n_occ] = 2.0
     return occ
-
-
-def build_density(coeffs, occ) -> np.ndarray:
-    """Density D = C diag(occ) C^T."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    occ = np.asarray(occ, dtype=float)
-    if coeffs.ndim != 2 or occ.ndim != 1 or coeffs.shape[1] != occ.shape[0]:
-        raise DimensionMismatch(
-            f"coeffs {coeffs.shape} incompatible with occupations {occ.shape}"
-        )
-    return symmetrize((coeffs * occ) @ coeffs.T)
 
 
 def commutator_error(h, d, s) -> np.ndarray:

@@ -8,16 +8,22 @@ criterion for this model.  Its derivative with respect to the positions
 at fixed D is analytic too: the density-frozen force and, given H(D) of
 a converged solution, the variational one.
 
-:class:`Context` holds what depends only on the geometry (S, X = S^-1/2,
-H0, U, q_ref, E_rep), and its methods are the one implementation of
-H(D), E(D) and the forces.  H(D) depends on D only through the Mulliken
-charges q, and affinely; ``Context.hamiltonian_of_charges(q)`` is its
-one formula.  ``Context.response(d)`` takes the Mulliken charges q of D
-once and returns (q, H(D), E(D)), with H(D) from that formula; the SCF
-loop and the validator call it once per density, and the SCF loop builds
-each input Hamiltonian from mixed charges with the same formula.
+A :class:`Geometry` holds one (n, 3) frame or a (B, n, 3) stack of
+frames of one species tuple.  :class:`Context` holds what depends only on
+the geometry (S, X = S^-1/2, H0, U, q_ref, E_rep), with S, H0 and E_rep
+built from one pair-distance array, and its methods are the one
+implementation of H(D), E(D) and the forces.  The builders take a frame
+or a stack alike: a single geometry goes through the stacked arithmetic,
+only without the leading axis, and on a stack row b of every term,
+argument and result belongs to frame b.  H(D) depends on D only through
+the Mulliken charges q, and affinely; ``Context.hamiltonian_of_charges(q)``
+is its one formula.  ``Context.response(d)`` takes the Mulliken charges q
+of D once and returns (q, H(D), E(D)), with H(D) from that formula; the
+SCF loop and the validator call it once per density, and the SCF loop
+builds each input Hamiltonian from mixed charges with the same formula.
 ``effective_hamiltonian``, ``electronic_energy`` and ``energy`` are views
-of ``response``.  Build one per geometry and call its methods.  The
+of ``response``.  Build one per geometry, or one per stack of geometries
+and index its rows with ``Context.take``, and call its methods.  The
 module functions ``effective_hamiltonian`` and ``electronic_energy`` are
 one-line calls through a fresh context; no pipeline calls them, but they
 stay because ``perfbench/tracing.py`` wraps them by name.
@@ -25,6 +31,7 @@ stay because ``perfbench/tracing.py`` wraps them by name.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass, field
@@ -66,7 +73,11 @@ _DEFAULT_MASS = 12.011  # amu
 
 @dataclass
 class Geometry:
-    """Atomic species, Cartesian positions (Angstrom) and electron count."""
+    """Atomic species, Cartesian positions (Angstrom) and electron count.
+
+    ``positions`` is one (n, 3) frame or a (B, n, 3) stack of B frames
+    that share the species and the electron count.
+    """
 
     species: tuple
     positions: np.ndarray
@@ -76,7 +87,8 @@ class Geometry:
         self.species = tuple(str(s) for s in self.species)
         self.positions = np.array(self.positions, dtype=float)
         self.n_electrons = int(self.n_electrons)
-        fault = _frame_fault(self.positions[None], len(self.species), self.n_electrons)
+        frames = self.positions if self.positions.ndim == 3 else self.positions[None]
+        fault = _frame_fault(frames, len(self.species), self.n_electrons)
         if fault:
             raise InvalidGeometry(fault[1])
 
@@ -86,6 +98,16 @@ class Geometry:
 
     def with_positions(self, positions) -> "Geometry":
         return Geometry(self.species, positions, self.n_electrons)
+
+    def take(self, rows) -> "Geometry":
+        """The stack of the frames of this stack that ``rows`` indexes.
+
+        They were checked as frames of this geometry, so they are not
+        checked again.
+        """
+        out = copy.copy(self)
+        out.positions = self.positions[rows]
+        return out
 
 
 def pair_distances(positions) -> np.ndarray:
@@ -181,20 +203,29 @@ class ModelParams:
         return _per_atom(self.q_ref, species, "q_ref")
 
 
-def build_overlap(g: Geometry, p: ModelParams) -> np.ndarray:
-    """Gaussian overlap S_ij = exp(-alpha r_ij^2), unit diagonal."""
-    r = pair_distances(g.positions)
-    s = np.exp(-p.alpha * r * r)
-    np.fill_diagonal(s, 1.0)
-    return s
+def _set_diagonal(m: np.ndarray, values) -> np.ndarray:
+    """Write ``values`` on the diagonal of each matrix of a C-contiguous stack."""
+    m.reshape(*m.shape[:-2], -1)[..., :: m.shape[-1] + 1] = values
+    return m
 
 
-def build_h0(g: Geometry, p: ModelParams) -> np.ndarray:
-    """Bare Hamiltonian: on-site eps0, hopping -t0 exp(-beta (r - r0))."""
-    r = pair_distances(g.positions)
-    h0 = -p.t0 * np.exp(-p.beta * (r - p.r0))
-    np.fill_diagonal(h0, p.eps0_for(g.species))
-    return h0
+def build_overlap(g: Geometry, p: ModelParams, r=None) -> np.ndarray:
+    """Gaussian overlap S_ij = exp(-alpha r_ij^2), unit diagonal.
+
+    One (n, n) matrix per frame of ``g``; ``r`` is its pair distances if
+    they are already known.
+    """
+    r = pair_distances(g.positions) if r is None else r
+    return _set_diagonal(np.exp(-p.alpha * r * r), 1.0)
+
+
+def build_h0(g: Geometry, p: ModelParams, r=None) -> np.ndarray:
+    """Bare Hamiltonian: on-site eps0, hopping -t0 exp(-beta (r - r0)).
+
+    One (n, n) matrix per frame of ``g``; ``r`` as in :func:`build_overlap`.
+    """
+    r = pair_distances(g.positions) if r is None else r
+    return _set_diagonal(-p.t0 * np.exp(-p.beta * (r - p.r0)), p.eps0_for(g.species))
 
 
 def mulliken_charges(d, s) -> np.ndarray:
@@ -205,11 +236,20 @@ def mulliken_charges(d, s) -> np.ndarray:
                   + np.einsum("...ij,...ji->...i", s, d))
 
 
-def repulsion_energy(g: Geometry, p: ModelParams) -> float:
-    r = pair_distances(g.positions)
+def repulsion_energy(g: Geometry, p: ModelParams, r=None):
+    """Born-Mayer sum over the pairs i < j: a float, or one per frame of a stack.
+
+    ``r`` as in :func:`build_overlap`.
+    """
+    r = pair_distances(g.positions) if r is None else r
     # The pairs i < j in row order; a mask is cheaper than triu_indices.
     upper = ~np.tri(g.n_atoms, dtype=bool)
-    return float((p.rep_a * np.exp(-r[upper] / p.rep_rho)).sum())
+    terms = p.rep_a * np.exp(-r[..., upper] / p.rep_rho)
+    # Each frame's terms are summed as one contiguous row, so a frame of
+    # a stack gets the bits it gets alone; a reduction over the last axis
+    # of the stack may add in another order.
+    sums = [float(row.sum()) for row in np.atleast_2d(terms)]
+    return sums[0] if terms.ndim == 1 else np.array(sums)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,20 +258,27 @@ class Context:
 
     S, H0, the per-atom U and q_ref arrays and E_rep are each built on
     first use and then kept, as is X = S^-1/2, so a caller that never
-    diagonalizes neither pays for X nor meets its LinearDependence.
-    Build one per geometry and share it between every density on it.
+    diagonalizes neither pays for X nor meets its LinearDependence.  S,
+    H0 and E_rep come from one pair-distance array ``r``.  On a stack of
+    geometries every term but U and q_ref (one per atom, shared by every
+    frame) has one matrix or value per frame.  Build one per geometry or
+    stack and share it between every density on it.
     """
 
     g: Geometry
     p: ModelParams
 
     @cached_property
+    def r(self) -> np.ndarray:
+        return pair_distances(self.g.positions)
+
+    @cached_property
     def s(self) -> np.ndarray:
-        return build_overlap(self.g, self.p)
+        return build_overlap(self.g, self.p, self.r)
 
     @cached_property
     def h0(self) -> np.ndarray:
-        return build_h0(self.g, self.p)
+        return build_h0(self.g, self.p, self.r)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -246,14 +293,30 @@ class Context:
         return self.p.q_ref_for(self.g.species)
 
     @cached_property
-    def e_rep(self) -> float:
-        return repulsion_energy(self.g, self.p)
+    def e_rep(self):
+        return repulsion_energy(self.g, self.p, self.r)
+
+    _FRAME_TERMS = ("s", "h0", "x", "e_rep")
+
+    def take(self, rows) -> "Context":
+        """The context of the frames of a stack that ``rows`` indexes.
+
+        Every term is built here, X included, once per frame of this
+        stack, and the new context's S, H0, X and E_rep are indexed from
+        them rather than rebuilt, so a frame that ``rows`` names many
+        times costs one build.
+        """
+        out = Context(self.g.take(rows), self.p)
+        for name in self._FRAME_TERMS:
+            out.__dict__[name] = getattr(self, name)[rows]
+        return out
 
     def orbitals(self, h) -> tuple:
         """Ascending levels and S-orthonormal orbitals, signs not pinned.
 
-        Like every method below, it takes one matrix or a (B, n, n)
-        stack of them and returns one result per matrix.
+        Like every method below but ``forces``, it takes one matrix or a
+        (B, n, n) stack of them and returns one result per matrix; on a
+        context of B frames, matrix b belongs to frame b.
         """
         w, v = np.linalg.eigh(matcore.symmetrize(self.x @ h @ self.x))
         return w, self.x @ v
@@ -270,7 +333,7 @@ class Context:
         d = np.asarray(d, dtype=float)
         q = mulliken_charges(d, self.s)
         dq = q - self.q_ref
-        band = np.einsum("...ij,ji->...", d, self.h0)
+        band = np.einsum("...ij,...ji->...", d, self.h0)
         e_el = band + 0.5 * (self.u * dq * dq).sum(axis=-1)
         return q, self.hamiltonian_of_charges(q), e_el
 
@@ -299,8 +362,10 @@ class Context:
     def forces(self, d, h=None) -> np.ndarray:
         """-dE/dR (eV/A) of the total energy at the fixed density D.
 
-        Without ``h`` this is the density-frozen force.  With ``h = H(D)``
-        of a converged closed-shell solution it adds the overlap term
+        Unlike the methods above, it takes only the context of one
+        geometry, and one density.  Without ``h`` this is the
+        density-frozen force.  With ``h = H(D)`` of a converged
+        closed-shell solution it adds the overlap term
         -tr(W dS), W = 1/2 D H D, and so gives the variational force of
         the SCF energy (Elstner et al., PRB 58, 7260 (1998)).  Each pair
         contributes dE/dr_ij (x_i - x_j) / r_ij, with dH0/dr = -beta H0,
@@ -314,7 +379,7 @@ class Context:
         if h is not None:
             w = w - 0.5 * d @ np.asarray(h, dtype=float) @ d
         diff = g.positions[:, None, :] - g.positions[None, :, :]
-        r = pair_distances(g.positions)
+        r = self.r.copy()
         # An infinite self-distance zeroes the diagonal of the 1/r terms;
         # the diagonals of S and H0 do not depend on the positions.
         np.fill_diagonal(r, np.inf)

@@ -69,14 +69,23 @@ class Dataset:
         return len(self.positions)
 
     def geometry(self, i) -> model.Geometry:
-        """The geometry of entry ``i``."""
+        """The geometry of entry ``i``, or the stack of those a slice or an
+        index array selects."""
         return model.Geometry(self.species, self.positions[i], self.n_electrons)
 
     def label(self, i) -> model.ScfSolution:
-        """The labeled solution of entry ``i``; its matrices are views."""
+        """The labeled solution of entry ``i``, or the stacked solutions of
+        the entries a slice or an index array selects.
+
+        Each matrix field is then a (B, n, n) stack and each scalar field
+        a (B,) array; a slice gives views, an index array copies.
+        """
+        scalars = {}
+        for k, column in self.labels.items():
+            value = column[i]
+            scalars[k] = value if np.ndim(value) else value.item()
         return model.ScfSolution(
-            self.hamiltonian[i], self.density[i], self.overlap[i],
-            **{k: v[i].item() for k, v in self.labels.items()},
+            self.hamiltonian[i], self.density[i], self.overlap[i], **scalars,
         )
 
 
@@ -212,12 +221,14 @@ def oracle_noise_predict(
 
     Row b of the (B, n, n) stack draws its H noise and then its D noise
     from ``rngs[b]`` alone, so a row's draws do not depend on the other
-    rows.  ``sigma_h`` and ``sigma_d`` are one amplitude for every row or
-    one per row.  With ``shared_noise`` both matrices reuse one draw
+    rows.  ``label`` is one solution, shared by every row, or a stack of
+    B labels (``Dataset.label`` of an index array), one per row.
+    ``sigma_h`` and ``sigma_d`` are one amplitude for every row or one
+    per row.  With ``shared_noise`` both matrices reuse one draw
     (scaled by their sigmas), modeling a predictor whose H and D errors
     are correlated; the default draws independently.
     """
-    n = label.hamiltonian.shape[0]
+    n = label.hamiltonian.shape[-1]
     sigma_h = np.broadcast_to(np.asarray(sigma_h, float), len(rngs))[:, None, None]
     sigma_d = np.broadcast_to(np.asarray(sigma_d, float), len(rngs))[:, None, None]
     if (sigma_h < 0).any() or (sigma_d < 0).any():

@@ -13,12 +13,14 @@ therefore also carries the strict residual (Hamiltonian rebuilt from the
 predicted density through the model functional) and cross residuals that
 pair predicted with labeled matrices.
 
-Every check works on a stack: a :class:`Prediction` may hold B pairs on
-one geometry as (B, n, n) arrays, and :func:`full_report` scores them in
-one pass over that geometry's :class:`model.Context`, so the per-record
-cost is a few batched numpy calls rather than dozens of small ones.  A
-single pair is a stack of one and goes through the same arithmetic.  The
-reports stay columns (a :class:`ReportTable`) through ``reports.csv``.
+Every check works on a stack: a :class:`Prediction` may hold B pairs as
+(B, n, n) arrays, each row on its own geometry and label, and
+:func:`full_report` scores them in one pass over a :class:`model.Context`
+with one row per record (or one geometry shared by all), so the
+per-record cost is a few batched numpy calls rather than dozens of small
+ones.  A single pair is a stack of one and goes through the same
+arithmetic.  The reports stay columns (a :class:`ReportTable`) through
+``reports.csv``.
 """
 
 from __future__ import annotations
@@ -135,13 +137,17 @@ def full_report(
     norm: str = "frobenius",
     system="",
 ):
-    """Compare predictions against a labeled solve on the same geometry.
+    """Compare predictions against labeled solves on their geometries.
 
-    ``ctx`` is the :class:`model.Context` of that geometry.  ``pred``
-    holds one (n, n) pair, scored into a one-row :class:`ReportTable`
-    named ``system``, or a (B, n, n) stack of pairs, scored in one pass
-    into a B-row table named by the B strings of ``system``.  One pair is
-    a stack of one, so both give the same numbers.
+    ``pred`` holds one (n, n) pair, scored into a one-row
+    :class:`ReportTable` named ``system``, or a (B, n, n) stack of pairs,
+    scored in one pass into a B-row table named by the B strings of
+    ``system``.  Row b sits on frame b of ``ctx``, a :class:`model.Context`
+    of B geometries (``Context.take`` of a stack), and is compared with
+    row b of ``label``, whose matrices are (B, n, n) and scalars (B,)
+    (``Dataset.label`` of an index array).  A context of one geometry or
+    a label of one solve is shared by every row.  Each row gets the bits
+    of its own one-row report on its own geometry.
     """
     systems = list(system) if pred.h_pred.ndim == 3 else [system]
     n = pred.h_pred.shape[-1]

@@ -25,6 +25,7 @@ from scval import (
 from scval.mdsim import EV_PER_AMU_A2_FS2, KB_EV_PER_K, MdConfig
 from scval.rng import substream
 from scval.systems import chain_geometry, ring_geometry
+from test_matcore import build_density
 from test_model import fd_energy_gradient, random_valid_geometry
 from test_scf import brute_force_energy
 
@@ -94,7 +95,7 @@ def test_01_diagonalized_density_always_commutes(capsys):
         except (errors.InvalidGeometry, errors.LinearDependence,
                 errors.FermiDegeneracy):
             continue
-        d = matcore.build_density(eig.coeffs, occ)
+        d = build_density(eig.coeffs, occ)
         resid = matcore.error_magnitude(matcore.commutator_error(h, d, s))
         scale = max(1.0, float(np.linalg.norm(h) * np.linalg.norm(s)))
         worst = max(worst, resid / scale)
@@ -286,7 +287,7 @@ def test_09_consistent_pairs_can_hide_wrong_hamiltonians(capsys):
     )
     eig = matcore.gen_eigensolve(h_wrong, s)
     occ = matcore.aufbau_occupations(eig.energies, g.n_electrons)
-    d_wrong = matcore.build_density(eig.coeffs, occ)
+    d_wrong = build_density(eig.coeffs, occ)
     report = validator.full_report(
         validator.Prediction(h_wrong, d_wrong), label, model.Context(g, P)
     )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from scval import cli, matcore, model, scf, surrogate, validator
 from scval.errors import FileFormatError
+from scval.rng import substream
 from scval.systems import chain_geometry, ring_geometry
 
 
@@ -144,6 +145,42 @@ def test_config_key_outside_the_command_groups_exits_one(work, tmp_path, capsys,
                             "--out", str(tmp_path / "out")])
     assert code == 1
     assert f"reads no config key(s) {key}" in capsys.readouterr().err
+
+
+def test_species_override_of_absent_species_exits_one(work, tmp_path, capsys):
+    # This run used to exit 0 with eps0.Z in its record and no mass.Z,
+    # though no atom of the ring is a Z.
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("mass.Z = 2.0\neps0.Z = -3.0\n")
+    code = cli.main(["md", str(work["ring"]), "--mode", "exact", "--steps", "2",
+                     "--t-target", "300", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "mass.Z, eps0.Z: no such species" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "steps.csv").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["scf", "{ring}"], "hubbard_u.X"),
+    (["gen", "{ring}", "--n", "2"], "eps0.B"),
+    (["validate", "--dataset", "{ds}", "--predictor", "oracle-noise"], "q_ref.C"),
+    (["grad", "{ring}", "--train", "{ds}", "--k", "4"], "eps0.Z"),
+    (["md", "{ring}", "--mode", "exact", "--steps", "2", "--t-target", "300"],
+     "mass.Z"),
+])
+def test_every_command_checks_override_species(work, tmp_path, capsys, argv, key):
+    (tmp_path / "run.cfg").write_text(f"{key} = 1.5\n")
+    argv = [a.format(ring=work["ring"], ds=work["ds"]) for a in argv]
+    code = cli.main(argv + ["--config", str(tmp_path / "run.cfg"),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{key}: no such species in this run (its species: A)" in (
+        capsys.readouterr().err)
+    # The override of a species the run has, and the "*" fallback, are read.
+    (tmp_path / "run.cfg").write_text(f"{key.split('.')[0]}.A = 1.5\n"
+                                      f"{key.split('.')[0]}.* = 1.5\n")
+    assert cli.main(argv + ["--config", str(tmp_path / "run.cfg"),
+                            "--out", str(tmp_path / "ok")]) == 0
 
 
 def test_md_threshold_and_percentile_clash_exits_one(work, tmp_path):
@@ -518,29 +555,90 @@ def test_external_bundle_must_match_dataset(work, tmp_path, capsys, case):
 def test_validate_builds_geometry_terms_once_per_entry(work, tmp_path,
                                                       monkeypatch):
     # All records of an entry share its geometry, so X = S^-1/2 and H0
-    # are built once per entry, not once per record, and the entry's
-    # records are scored in one stacked full_report call.
-    calls = {"loewdin_inverse_sqrt": 0, "build_h0": 0, "full_report": 0}
+    # are built once per entry, not once per record, and the 72 records
+    # of the 12 entries, one block, are scored in one full_report call.
+    # Builders take stacks, so matrices are counted, not calls.
+    counts = {"loewdin_inverse_sqrt": 0, "build_h0": 0, "full_report": 0}
 
-    def counting(mod, name):
+    def counting(mod, name, size):
         real = getattr(mod, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            counts[name] += size(args, out)
+            return out
 
         monkeypatch.setattr(mod, name, wrapper)
 
-    counting(matcore, "loewdin_inverse_sqrt")
-    counting(model, "build_h0")
-    counting(validator, "full_report")
+    def matrices(args, out):
+        return len(out.reshape(-1, *out.shape[-2:]))
+
+    counting(matcore, "loewdin_inverse_sqrt", matrices)
+    counting(model, "build_h0", matrices)
+    counting(validator, "full_report", lambda args, out: 1)
     code = cli.main(["validate", "--dataset", str(work["ds"]),
                      "--predictor", "oracle-noise",
                      "--sigma", "0.001,0.01", "--repeat", "3",
                      "--out", str(tmp_path)])
     assert code == 0
     assert len(read_rows(tmp_path / "reports.csv")) == 12 * 2 * 3
-    assert calls == {"loewdin_inverse_sqrt": 12, "build_h0": 12, "full_report": 12}
+    assert counts == {"loewdin_inverse_sqrt": 12, "build_h0": 12, "full_report": 1}
+
+
+def _per_entry_reports(ds, predict):
+    """Oracle of validate: one Context, prediction and report per entry."""
+    return validator.ReportTable.concat(
+        validator.full_report(pred, ds.label(i),
+                              model.Context(ds.geometry(i), model.ModelParams()),
+                              system=systems)
+        for i in range(len(ds)) for pred, systems in [predict(i)]
+    )
+
+
+@pytest.mark.parametrize("predictor", ["oracle-noise", "kernel", "external-file"])
+def test_validate_blocks_match_per_entry_oracle(work, tmp_path, predictor):
+    # 12 entries of 2 sigmas x 12 repeats are 288 noise records, so two
+    # blocks of whole entries (10 and 2); either way the bytes are those
+    # of scoring each entry on its own.
+    ds = surrogate.load_dataset(work["ds"])
+    if predictor == "oracle-noise":
+        flags = ["--sigma", "0.001,0.01", "--repeat", "12", "--seed", "5"]
+        keys = [(j, k) for j in range(2) for k in range(12)]
+        sigmas = [0.001, 0.01]
+
+        def predict(i):
+            pred = surrogate.oracle_noise_predict(
+                ds.label(i), [sigmas[j] for j, _ in keys],
+                [sigmas[j] for j, _ in keys],
+                [substream(5, "oracle-noise", i, j, k) for j, k in keys])
+            return pred, [f"{i:04d}:s{j}:r{k}" for j, k in keys]
+    elif predictor == "kernel":
+        flags = ["--train", str(work["ds"]), "--k", "4"]
+        km = surrogate.kernel_fit(ds, k_neighbors=4)
+
+        def predict(i):
+            pred = surrogate.kernel_predict(km, ds.geometry(i))
+            return (validator.Prediction(pred.h_pred[None], pred.d_pred[None],
+                                         pred.source), [f"{i:04d}"])
+    else:
+        rng = np.random.default_rng(8)
+        h, d = (stack + 0.01 * matcore.symmetrize(rng.standard_normal(stack.shape))
+                for stack in (ds.hamiltonian, ds.density))
+        frames = (model.format_xyz_frame(ds.geometry(i)) for i in range(len(ds)))
+        surrogate._write_stack(tmp_path / "pred", frames, {"H": h, "D": d})
+        flags = ["--pred", str(tmp_path / "pred")]
+
+        def predict(i):
+            return validator.Prediction(h[i:i + 1], d[i:i + 1]), [f"{i:04d}"]
+    code = cli.main(["validate", "--dataset", str(work["ds"]),
+                     "--predictor", predictor, *flags,
+                     "--out", str(tmp_path / "val")])
+    assert code == 0
+    oracle = _per_entry_reports(ds, predict)
+    assert len(oracle) == (288 if predictor == "oracle-noise" else 12)
+    validator.write_reports_csv(tmp_path / "oracle.csv", oracle)
+    assert ((tmp_path / "val" / "reports.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
 
 
 def test_atoms_too_close_in_bundle_exits_one(work, tmp_path, capsys):

@@ -12,6 +12,7 @@ from scval.errors import (
     FermiDegeneracy,
     FileFormatError,
     InvalidGeometry,
+    LinearDependence,
     NoConvergence,
 )
 from scval.systems import random_geometry, ring_geometry
@@ -381,6 +382,54 @@ def test_forces_are_rigid_motion_and_permutation_covariant(seed, n_atoms):
         np.testing.assert_allclose(
             model.Context(permuted, p).forces(d[ix], None if h is None else h[ix]),
             f[perm], rtol=0, atol=tol)
+
+
+# --- stacked contexts ------------------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(seed=SEEDS, n_atoms=st.integers(1, 8), frames=st.integers(1, 6))
+def test_stacked_context_rows_equal_single_contexts(seed, n_atoms, frames):
+    # Each frame of a stacked Context, and each row of one taken from it,
+    # gets the bits of the Context of that frame alone: S, H0, X, E_rep,
+    # the (q, H, E) response and the orbital levels.
+    rng = np.random.default_rng(seed)
+    g0 = random_geometry(rng, n_atoms, species=("A", "B"))
+    stack = g0.positions + rng.uniform(-0.1, 0.1, (frames, n_atoms, 3))
+    try:
+        g = model.Geometry(g0.species, stack, g0.n_electrons)
+        ctx = model.Context(g, TWO_SPECIES)
+        ctx.x
+    except (InvalidGeometry, LinearDependence):
+        assume(False)
+    d = matcore.symmetrize(rng.standard_normal((frames, n_atoms, n_atoms)))
+    q, h, e = ctx.response(d)
+    levels = ctx.orbitals(h)[0]
+    rows = rng.integers(0, frames, size=7)
+    taken = ctx.take(rows)
+    taken_q, taken_h, taken_e = taken.response(d[rows])
+    taken_levels = taken.orbitals(taken_h)[0]
+    for b in range(frames):
+        one = model.Context(model.Geometry(g.species, stack[b], g.n_electrons),
+                            TWO_SPECIES)
+        one_q, one_h, one_e = one.response(d[b])
+        for stacked, single in ((ctx.s[b], one.s), (ctx.h0[b], one.h0),
+                                (ctx.x[b], one.x), (ctx.e_rep[b], one.e_rep),
+                                (q[b], one_q), (h[b], one_h), (e[b], one_e),
+                                (levels[b], one.orbitals(one_h)[0])):
+            same_bits(stacked, single)
+        for k in np.flatnonzero(rows == b):
+            for stacked, single in ((taken.s[k], one.s), (taken.x[k], one.x),
+                                    (taken_q[k], one_q), (taken_h[k], one_h),
+                                    (taken_e[k], one_e),
+                                    (taken_levels[k], one.orbitals(one_h)[0])):
+                same_bits(stacked, single)
 
 
 # --- xyz and config files --------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scval import matcore, model, scf
 from scval.errors import NoConvergence, ScvalError
 from scval.systems import chain_geometry, random_geometry, ring_geometry
+from test_matcore import build_density
 
 DAMPING_ONLY = scf.ScfConfig(max_iter=20000, damping=0.05, diis_start=10**9)
 
@@ -29,7 +30,7 @@ def density_damping(g, p, beta=0.05, max_iter=10000, tol=1e-11):
     for _ in range(max_iter):
         energies, coeffs = ctx.orbitals(ctx.effective_hamiltonian(d))
         occ = matcore.aufbau_occupations(energies, g.n_electrons)
-        d_new = matcore.build_density(coeffs, occ)
+        d_new = build_density(coeffs, occ)
         h_new = ctx.effective_hamiltonian(d_new)
         hamiltonians.append(h_new)
         err = matcore.error_magnitude(matcore.commutator_error(h_new, d_new, ctx.s))
@@ -56,7 +57,7 @@ def deque_anderson_inputs(g, p, cfg):
         h_in = ctx.h0 + 0.5 * ctx.s * (udq[:, None] + udq[None, :])
         inputs.append(h_in)
         energies, coeffs = ctx.orbitals(h_in)
-        d = matcore.build_density(
+        d = build_density(
             coeffs, matcore.aufbau_occupations(energies, g.n_electrons))
         h = ctx.effective_hamiltonian(d)
         if matcore.error_magnitude(matcore.commutator_error(h, d, ctx.s)) <= cfg.tol:
@@ -161,7 +162,7 @@ def test_converged_invariants_random_geometries():
         assert model.Context(g, p).energy(d) == pytest.approx(sol.e_total, abs=1e-10)
         # Fixed-point consistency: re-diagonalizing H reproduces D.
         occ = matcore.aufbau_occupations(sol.energies, g.n_electrons)
-        d_back = matcore.build_density(sol.coeffs, occ)
+        d_back = build_density(sol.coeffs, occ)
         assert np.abs(d_back - d).max() <= 10 * 1e-9
 
 

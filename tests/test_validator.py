@@ -14,6 +14,7 @@ from scval.errors import FileFormatError
 from scval.rng import substream
 from scval.surrogate import Dataset
 from scval.systems import chain_geometry
+from test_matcore import build_density
 
 P = model.ModelParams()
 
@@ -166,7 +167,7 @@ def test_false_negative_diagonalized_wrong_hamiltonian():
     )
     eig = matcore.gen_eigensolve(wrong, sol.overlap)
     occ = matcore.aufbau_occupations(eig.energies, g.n_electrons)
-    d_wrong = matcore.build_density(eig.coeffs, occ)
+    d_wrong = build_density(eig.coeffs, occ)
     pred = validator.Prediction(wrong, d_wrong)
     rep = validator.full_report(pred, sol, model.Context(g, P))
     scale = max(1.0, np.linalg.norm(wrong) * np.linalg.norm(sol.overlap))
@@ -213,6 +214,50 @@ def test_stacked_report_equals_separate_reports(sigmas, seed, shared, norm):
         )
         # repr tells every float apart, -0.0 from 0.0 included.
         assert len(single) == 1
+        assert repr(row(single, 0)) == repr(row(reports, b))
+
+
+@functools.cache
+def _chain_dataset():
+    return surrogate.generate_dataset(
+        chain_geometry(5, spacing=1.5, n_electrons=4), P, 5, amplitude=0.08,
+        seed=21,
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    records=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 0.1),
+                               st.floats(0.0, 0.1)),
+                     min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    shared=st.booleans(),
+    norm=st.sampled_from(["frobenius", "mae"]),
+)
+def test_report_on_own_geometries_equals_single_geometry_reports(
+        records, seed, shared, norm):
+    # Rows that each sit on their own geometry and label, scored in one
+    # pass over a context taken from the stack of the dataset's geometries,
+    # give bit for bit the one-row tables of single-geometry calls.
+    ds = _chain_dataset()
+    owner, sigma_h, sigma_d = (list(column) for column in zip(*records))
+    rows = range(len(records))
+    label = ds.label(np.array(owner))
+    stacked = surrogate.oracle_noise_predict(
+        label, sigma_h, sigma_d,
+        [substream(seed, "oracle-noise", b) for b in rows], shared_noise=shared,
+    )
+    ctx = model.Context(ds.geometry(slice(None)), P).take(np.array(owner))
+    reports = validator.full_report(stacked, label, ctx, norm=norm,
+                                    system=[f"r{b}" for b in rows])
+    assert len(reports) == len(records)
+    for b in rows:
+        single = validator.full_report(
+            validator.Prediction(stacked.h_pred[b], stacked.d_pred[b],
+                                 stacked.source),
+            ds.label(owner[b]), model.Context(ds.geometry(owner[b]), P),
+            norm=norm, system=f"r{b}",
+        )
         assert repr(row(single, 0)) == repr(row(reports, b))
 
 
