@@ -277,10 +277,11 @@ def cmd_validate(args) -> int:
     run.check_species(ds.species)
     worked = {}
 
-    # predict(entries, label) gives the records of the entries of a block
-    # (a range), entry by entry, as one stacked Prediction and their
-    # system names; ``label`` holds each record's labeled solution.  An
-    # entry has ``per_entry`` records.
+    # predict(entries, label, block_g) gives the records of the entries of a
+    # block (a range), entry by entry, as one stacked Prediction and their
+    # system names; ``label`` holds each record's labeled solution and
+    # ``block_g`` the block's checked geometry stack, one frame per entry.
+    # An entry has ``per_entry`` records.
     if args.predictor == "oracle-noise":
         sigmas_h = _floats(args.sigma)
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
@@ -292,7 +293,7 @@ def cmd_validate(args) -> int:
             raise ValueError("--sigma and --repeat give no records per entry")
         per_entry = len(rows)
 
-        def predict(entries, label):
+        def predict(entries, label, block_g):
             keys = [(i, j, k) for i in entries for j, k in rows]
             # One stream per record, whatever the evaluation order.
             pred = surrogate.oracle_noise_predict(
@@ -308,8 +309,9 @@ def cmd_validate(args) -> int:
         worked.update(bandwidth=km.bandwidth, k=km.k_neighbors)
         per_entry = 1
 
-        def predict(entries, label):
-            preds = [surrogate.kernel_predict(km, ds.geometry(i)) for i in entries]
+        def predict(entries, label, block_g):
+            preds = [surrogate.kernel_predict(km, block_g.take(b))
+                     for b in range(len(entries))]
             stack = validator.Prediction(np.stack([p.h_pred for p in preds]),
                                          np.stack([p.d_pred for p in preds]),
                                          "kernel")
@@ -321,7 +323,7 @@ def cmd_validate(args) -> int:
         _check_frames_match(frames, ds, args.pred)
         per_entry = 1
 
-        def predict(entries, label):
+        def predict(entries, label, block_g):
             block = slice(entries.start, entries.stop)
             pred = validator.Prediction(stacks["H"][block], stacks["D"][block])
             return pred, [f"{i:04d}" for i in entries]
@@ -339,7 +341,7 @@ def cmd_validate(args) -> int:
         ctx = model.Context(ds.geometry(block), run.params)
         owner = np.repeat(np.arange(len(entries)), per_entry)  # record -> block entry
         label = ds.label(start + owner)
-        pred, systems = predict(entries, label)
+        pred, systems = predict(entries, label, ctx.g)
         tables.append(validator.full_report(
             pred, label, ctx.take(owner), norm=run.norm, system=systems,
         ))

@@ -21,10 +21,12 @@ is its one formula.  ``Context.response(d)`` takes the Mulliken charges q
 of D once and returns (q, H(D), E(D)), with H(D) from that formula; the
 SCF loop and the validator call it once per density, and the SCF loop
 builds each input Hamiltonian from mixed charges with the same formula.
-``effective_hamiltonian``, ``electronic_energy`` and ``energy`` are views
-of ``response``.  Build one per geometry, or one per stack of geometries
-and index its rows with ``Context.take``, and call its methods.  The
-module functions ``effective_hamiltonian`` and ``electronic_energy`` are
+``Context.charge_jacobian`` is the exact derivative of the aufbau charges
+of H(q) with respect to q, from the orbitals of H(q); the SCF loop's
+Newton steps use it.  ``effective_hamiltonian``, ``electronic_energy``
+and ``energy`` are views of ``response``.  Build one per geometry, or one
+per stack of geometries and index its rows with ``Context.take``, and
+call its methods.  The module functions ``effective_hamiltonian`` and ``electronic_energy`` are
 one-line calls through a fresh context; no pipeline calls them, but they
 stay because ``perfbench/tracing.py`` wraps them by name.
 """
@@ -321,6 +323,24 @@ class Context:
         w, v = np.linalg.eigh(matcore.symmetrize(self.x @ h @ self.x))
         return w, self.x @ v
 
+    def charge_jacobian(self, levels, orbs) -> np.ndarray:
+        """J = dq/dq_in of the aufbau charges of H(q_in), at the ``orbitals`` pair.
+
+        First-order perturbation theory over occupied-virtual pairs (o, v)
+        of the closed-shell filling, with A = S C:
+        J = P W P^T diag(U), P_i[o, v] = C_io A_iv + A_io C_iv and
+        W = 1/(eps_o - eps_v).  W < 0 and U >= 0, so I - J has
+        eigenvalues >= 1.  One (n, n) matrix per pair of a stack.
+        """
+        n_occ = self.g.n_electrons // 2
+        a = self.s @ orbs
+        p = (orbs[..., :, :n_occ, None] * a[..., :, None, n_occ:]
+             + a[..., :, :n_occ, None] * orbs[..., :, None, n_occ:])
+        w = 1.0 / (levels[..., :n_occ, None] - levels[..., None, n_occ:])
+        flat = p.shape[:-2] + (-1,)
+        pw = (p * w[..., None, :, :]).reshape(flat)
+        return (pw @ np.swapaxes(p.reshape(flat), -1, -2)) * self.u
+
     def response(self, d) -> tuple:
         """(q, H(D), E(D)) of a density or a stack, from one Mulliken pass.
 
@@ -400,10 +420,11 @@ def effective_hamiltonian(d, g: Geometry, p: ModelParams) -> np.ndarray:
 class ScfSolution:
     """Converged (or best-effort) self-consistent pair with bookkeeping.
 
-    ``trace`` holds one (iteration, residual, e_total) tuple per
-    iteration of the solve that produced it, in order.  ``coeffs`` and
-    ``energies``, the eigenpairs of (H, S), are solved on first read; no
-    code in the package reads them.
+    ``trace`` holds one (iteration, residual, e_total, step) tuple per
+    iteration of the solve that produced it, in order; ``step`` says how
+    that iteration's input charges were made ("start", "mix" or
+    "newton").  ``coeffs`` and ``energies``, the eigenpairs of (H, S), are
+    solved on first read; no code in the package reads them.
     """
 
     hamiltonian: np.ndarray

@@ -1,4 +1,4 @@
-"""Self-consistent field solver with Anderson mixing of the charges.
+"""Self-consistent field solver: Anderson mixing of the charges, Newton finish.
 
 H(D) depends on D only through the Mulliken charges q, and affinely, so
 the solver mixes charges: each iteration builds its input Hamiltonian
@@ -16,6 +16,19 @@ nonlinear acceleration: Scieur, d'Aspremont & Bach, Math. Program. 179,
 47 (2020)); a zero history keeps plain mixing.  On one banked row this is
 plain linear mixing.  The history is two preallocated (diis_depth, n)
 arrays, oldest row first: residuals and damped charges.
+
+Anderson mixing is slow over the last decades of the residual, so from
+iteration ``diis_start`` on, once max|r| is below ``NEWTON_BELOW`` and
+below its value at the last Newton step (if any), the next q_in is the
+Newton step q_in + (I - J)^-1 r of the fixed-point equation q = F(q)
+instead; the residual then falls quadratically.  J = dF/dq_in is exact
+and costs no further solve: ``Context.charge_jacobian`` builds it from the
+orbitals that gave D (the charge-response kernel of Niklasson, J. Chem.
+Phys. 152, 104103 (2020)).  Its eigenvalues make those of I - J at least
+one, so the solve is never singular.  The history is banked on every
+iteration, Newton or not, and a step whose residual did not fall hands
+back to Anderson mixing.  Each ``trace`` row ends with how that
+iteration's q_in was made: "start", "mix" or "newton".
 
 The stopping test is the Frobenius norm of the commutator residual at
 D, whatever norm a caller reports residuals in.  It is taken at D, so
@@ -52,6 +65,11 @@ __all__ = [
 REGULARIZATION = (1e-10, 1e-4)
 HARD_AFTER = 40
 
+# The charge residual max|r| (charge units) below which the Newton step
+# replaces the Anderson combination; see the module docstring.  Far from
+# the fixed point the linear response that the step assumes is poor.
+NEWTON_BELOW = 0.05
+
 
 @dataclass(frozen=True)
 class ScfConfig:
@@ -62,12 +80,12 @@ class ScfConfig:
     output charges in each linear mixing step, q_in + damping (q(D) -
     q_in); ``diis_depth`` the number of recent iterations the
     regularized Anderson weights combine, and ``diis_start`` the first
-    iteration that combines more than the latest one.  Setting
-    ``diis_start`` beyond ``max_iter`` gives plain linear mixing; since H
-    is affine in q and q in D, that follows the Hamiltonians of density
-    damping started from a density with the reference charges.  The
-    regularization is a module constant (``REGULARIZATION``), not a
-    setting.
+    iteration that combines more than the latest one or may take a Newton
+    step.  Setting ``diis_start`` beyond ``max_iter`` gives plain linear
+    mixing; since H is affine in q and q in D, that follows the
+    Hamiltonians of density damping started from a density with the
+    reference charges.  The regularization and the Newton threshold are
+    module constants (``REGULARIZATION``, ``NEWTON_BELOW``), not settings.
     """
 
     max_iter: int = 200
@@ -111,8 +129,9 @@ def scf_solve(
     of ``d0`` (H_in = H(``d0``)) when a density is given.  Returns a
     solution whose Hamiltonian is H(D) of the final density, so
     H = effective_hamiltonian(D) holds exactly, and whose ``trace``
-    records every iteration.  Raises NoConvergence (carrying the best
-    iterate) when the budget runs out.
+    records every iteration as (iteration, residual, e_total, step).
+    Raises NoConvergence (carrying the best iterate) when the budget runs
+    out.
     """
     cfg = cfg or ScfConfig()
     ctx = model.Context(g, p)
@@ -124,6 +143,8 @@ def scf_solve(
     k = 0  # banked rows
     trace = []
     best = None  # (err, d, h, e_total, iteration)
+    step = "start"  # how q_in was made
+    newton_r = math.inf  # max|r| at the last Newton step
 
     for it in range(1, cfg.max_iter + 1):
         levels, orbs = ctx.orbitals(ctx.hamiltonian_of_charges(q_in))
@@ -131,7 +152,7 @@ def scf_solve(
         d = 0.5 * (d + d.T)
         q, h, e_total = ctx.response(d)
         err = matcore.error_magnitude(h @ d @ s - s @ d @ h)
-        trace.append((it, err, e_total))
+        trace.append((it, err, e_total, step))
         if best is None or err < best[0]:
             best = (err, d, h, e_total, it)
         if err <= cfg.tol:
@@ -141,8 +162,17 @@ def scf_solve(
             q_k[:-1] = q_k[1:]
             k -= 1
         res_k[k] = r = q - q_in
-        q_in = q_k[k] = q_in + beta * r
+        q_k[k] = damped = q_in + beta * r
         k += 1
+        r_max = np.abs(r).max()
+        if it >= cfg.diis_start and r_max < min(NEWTON_BELOW, newton_r):
+            # Newton's method on q = F(q): F's Jacobian J is exact at the
+            # orbitals of H(q_in), and I - J is never singular.
+            jac = ctx.charge_jacobian(levels, orbs)
+            q_in = q_in + np.linalg.solve(np.eye(g.n_atoms) - jac, r)
+            step, newton_r = "newton", r_max
+            continue
+        q_in, step = damped, "mix"
         m = k - 1 if it >= cfg.diis_start else 0  # older rows to combine
         if m:
             # Weights gamma of the older rows and 1 - sum(gamma) of the
@@ -165,7 +195,8 @@ def scf_solve(
 
 
 def write_trace_csv(path, trace) -> None:
+    """One row per ``trace`` row; ``step`` is the last column."""
     with open(path, "w", newline="") as fh:
-        fh.write("iteration,diis_error,e_total\n")
-        for it, err, e_total in trace:
-            fh.write(f"{it},{err:.17g},{e_total:.17g}\n")
+        fh.write("iteration,diis_error,e_total,step\n")
+        for it, err, e_total, step in trace:
+            fh.write(f"{it},{err:.17g},{e_total:.17g},{step}\n")

@@ -255,8 +255,9 @@ def descriptor(positions) -> np.ndarray:
     so that every reduction over it runs in one order.
     """
     positions = np.asarray(positions, dtype=float)
-    iu = np.triu_indices(positions.shape[-2], k=1)
-    r = model.pair_distances(positions)[..., iu[0], iu[1]]
+    # The pairs i < j in row order; a mask is cheaper than triu_indices.
+    upper = ~np.tri(positions.shape[-2], dtype=bool)
+    r = model.pair_distances(positions)[..., upper]
     return np.ascontiguousarray(np.sort(r, axis=-1))
 
 

@@ -289,6 +289,17 @@ def test_scf_writes_solution_bundle(work, tmp_path):
     assert open(tmp_path / "trace.csv").readline().startswith("iteration,")
 
 
+def test_scf_trace_names_how_each_input_was_made(work, tmp_path):
+    # The README chain: the reference charges, one mixing step, then
+    # Newton steps once the charge residual is small.
+    assert cli.main(["scf", str(work["chain"]), "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "trace.csv")
+    assert list(rows[0]) == ["iteration", "diis_error", "e_total", "step"]
+    assert [row["step"] for row in rows] == ["start", "mix", "newton", "newton"]
+    assert [int(row["iteration"]) for row in rows] == [1, 2, 3, 4]
+    assert float(rows[-1]["diis_error"]) <= 1e-9
+
+
 def test_scf_nonconvergence_exits_two_with_best_effort(work, tmp_path, capsys):
     cfg = tmp_path / "tight.cfg"
     cfg.write_text("scf.max_iter = 3\n")

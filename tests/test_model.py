@@ -384,6 +384,62 @@ def test_forces_are_rigid_motion_and_permutation_covariant(seed, n_atoms):
             f[perm], rtol=0, atol=tol)
 
 
+# --- charge response -------------------------------------------------------------
+
+
+def aufbau_charges(ctx, q):
+    """Mulliken charges of the aufbau density of H(q): the SCF map q -> F(q)."""
+    levels, orbs = ctx.orbitals(ctx.hamiltonian_of_charges(q))
+    d = (orbs * matcore.aufbau_occupations(levels, ctx.g.n_electrons)) @ orbs.T
+    return model.mulliken_charges(d, ctx.s)
+
+
+def jacobian_at_random_charges(seed, n_atoms):
+    """(context, charges, J) at charges q_ref + 0.1 N(0, 1) on a random geometry.
+
+    Draws whose frontier gap at those charges is below 0.1 eV are
+    rejected: a central difference of step h errs by about (h / gap)^2.
+    """
+    rng = np.random.default_rng(seed)
+    g = random_geometry(rng, n_atoms, species=("A", "B"))
+    ctx = model.Context(g, TWO_SPECIES)
+    q = ctx.q_ref + 0.1 * rng.standard_normal(n_atoms)
+    levels, orbs = ctx.orbitals(ctx.hamiltonian_of_charges(q))
+    assume(model.frontier_gap(levels, g.n_electrons) >= 0.1)
+    return ctx, q, ctx.charge_jacobian(levels, orbs)
+
+
+@FORCE_EXAMPLES
+@given(seed=SEEDS, n_atoms=st.integers(4, 10))
+def test_charge_jacobian_matches_central_differences(seed, n_atoms):
+    ctx, q, jac = jacobian_at_random_charges(seed, n_atoms)
+    step = 1e-5
+    fd = np.stack([aufbau_charges(ctx, q + step * e) - aufbau_charges(ctx, q - step * e)
+                   for e in np.eye(n_atoms)], axis=1) / (2.0 * step)
+    # 2.7e-7 at most over 400 seeded draws.
+    assert np.abs(jac - fd).max() <= 1e-5 * np.abs(jac).max()
+    # A stack of two frames gives each frame's J.
+    stack = model.Context(ctx.g.with_positions(np.stack([ctx.g.positions] * 2)),
+                          TWO_SPECIES)
+    h = ctx.hamiltonian_of_charges(np.stack([q, q + 0.01]))
+    stacked = stack.charge_jacobian(*stack.orbitals(h))
+    np.testing.assert_allclose(stacked[0], jac, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stacked[1], ctx.charge_jacobian(*ctx.orbitals(h[1])),
+                               rtol=0, atol=1e-12)
+
+
+@FORCE_EXAMPLES
+@given(seed=SEEDS, n_atoms=st.integers(4, 10))
+def test_newton_matrix_has_eigenvalues_at_least_one(seed, n_atoms):
+    # J = P W P^T diag(U) with W < 0 and U >= 0, so I - J is never
+    # singular and the SCF's Newton step is never longer than its residual
+    # in the U-weighted norm.
+    _, _, jac = jacobian_at_random_charges(seed, n_atoms)
+    eig = np.linalg.eigvals(np.eye(n_atoms) - jac)
+    assert np.abs(eig.imag).max() <= 1e-12
+    assert eig.real.min() >= 1.0 - 1e-12
+
+
 # --- stacked contexts ------------------------------------------------------------
 
 
