@@ -22,11 +22,9 @@ from .errors import (
     SpeciesMismatch,
 )
 from .matcore import (
-    EigSolution,
     aufbau_occupations,
     commutator_error,
     error_magnitude,
-    gen_eigensolve,
     loewdin_inverse_sqrt,
     read_scvm,
     write_scvm,
@@ -38,7 +36,6 @@ from .model import (
     ScfSolution,
     build_h0,
     build_overlap,
-    effective_hamiltonian,
     load_geometry,
     mulliken_charges,
 )

@@ -275,7 +275,9 @@ def cmd_validate(args) -> int:
     run = _Settings(args)
     ds = surrogate.load_dataset(args.dataset)
     run.check_species(ds.species)
-    worked = {}
+    # Each predictor records only the flags it reads.
+    worked = dict.fromkeys(("sigma", "sigma_d", "repeat", "shared_noise",
+                            "train", "bandwidth", "k", "pred"))
 
     # predict(entries, label, block_g) gives the records of the entries of a
     # block (a range), entry by entry, as one stacked Prediction and their
@@ -287,7 +289,8 @@ def cmd_validate(args) -> int:
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
         if len(sigmas_d) != len(sigmas_h):
             raise ValueError("--sigma and --sigma-d must have equal lengths")
-        worked["sigma_d"] = args.sigma_d or args.sigma
+        worked.update(sigma=args.sigma, sigma_d=args.sigma_d or args.sigma,
+                      repeat=args.repeat, shared_noise=args.shared_noise)
         rows = [(j, k) for j in range(len(sigmas_h)) for k in range(args.repeat)]
         if not rows:
             raise ValueError("--sigma and --repeat give no records per entry")
@@ -306,7 +309,7 @@ def cmd_validate(args) -> int:
             return pred, [f"{i:04d}:s{j}:r{k}" for i, j, k in keys]
     elif args.predictor == "kernel":
         km, train = _kernel_from_args(args)
-        worked.update(bandwidth=km.bandwidth, k=km.k_neighbors)
+        worked.update(train=args.train, bandwidth=km.bandwidth, k=km.k_neighbors)
         per_entry = 1
 
         def predict(entries, label, block_g):
@@ -321,6 +324,7 @@ def cmd_validate(args) -> int:
             raise ValueError("external-file predictor needs --pred DIR")
         frames, stacks = surrogate._read_stack(args.pred, "HD")
         _check_frames_match(frames, ds, args.pred)
+        worked["pred"] = args.pred
         per_entry = 1
 
         def predict(entries, label, block_g):
@@ -418,12 +422,15 @@ def cmd_md(args) -> int:
 
     predictor = None
     threshold = args.threshold
-    worked = {}
+    # Each mode records only the flags it reads.
+    worked = dict.fromkeys(("train", "bandwidth", "k", "threshold",
+                            "calibrate_percentile"))
     if args.mode in ("surrogate_only", "predictor_corrector"):
         km, train = _kernel_from_args(args)
         predictor = lambda gg: surrogate.kernel_predict(km, gg)
-        worked.update(bandwidth=km.bandwidth, k=km.k_neighbors)
-        if args.mode == "predictor_corrector" and threshold is None:
+        worked.update(train=args.train, bandwidth=km.bandwidth, k=km.k_neighbors)
+    if args.mode == "predictor_corrector":
+        if threshold is None:
             if args.calibrate_percentile is None:
                 raise ValueError(
                     "predictor_corrector needs --threshold or "
@@ -436,6 +443,8 @@ def cmd_md(args) -> int:
             threshold = float(
                 np.percentile(loo["self_diis"], args.calibrate_percentile)
             )
+        worked.update(threshold=threshold,
+                      calibrate_percentile=args.calibrate_percentile)
 
     md_cfg = mdsim.MdConfig(
         n_steps=args.steps,
@@ -459,7 +468,7 @@ def cmd_md(args) -> int:
         fh.write(f"diverged = {int(result.diverged)}\n")
         fh.write(f"aborted = {result.aborted or 'none'}\n")
         fh.write(f"mean_t_last_half = {float(half.mean()):.17g}\n")
-    run.write(out, threshold=threshold, **worked)
+    run.write(out, **worked)
     if result.aborted:
         print(f"md: aborted: {result.aborted}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -11,24 +11,26 @@ Anal. 49, 1715 (2011)).  With the m older residual rows taken as
 differences dR (m, n) to the latest residual r, the weights gamma of the
 older rows solve the m x m system (G + lam tr(G)/m I) gamma = -dR r,
 G = dR dR^T, and the latest row gets 1 - sum(gamma).  The Tikhonov term
-lam keeps the weights bounded on a near-singular history (regularized
-nonlinear acceleration: Scieur, d'Aspremont & Bach, Math. Program. 179,
-47 (2020)); a zero history keeps plain mixing.  On one banked row this is
-plain linear mixing.  The history is two preallocated (diis_depth, n)
-arrays, oldest row first: residuals and damped charges.
+lam = ``REGULARIZATION`` keeps the weights bounded on a near-singular
+history (regularized nonlinear acceleration: Scieur, d'Aspremont & Bach,
+Math. Program. 179, 47 (2020)); a zero history keeps plain mixing.  On
+one banked row this is plain linear mixing.  The history is two
+preallocated (``DEPTH``, n) arrays, oldest row first: residuals and damped
+charges.
 
 Anderson mixing is slow over the last decades of the residual, so from
-iteration ``diis_start`` on, once max|r| is below ``NEWTON_BELOW`` and
-below its value at the last Newton step (if any), the next q_in is the
-Newton step q_in + (I - J)^-1 r of the fixed-point equation q = F(q)
-instead; the residual then falls quadratically.  J = dF/dq_in is exact
-and costs no further solve: ``Context.charge_jacobian`` builds it from the
-orbitals that gave D (the charge-response kernel of Niklasson, J. Chem.
-Phys. 152, 104103 (2020)).  Its eigenvalues make those of I - J at least
-one, so the solve is never singular.  The history is banked on every
-iteration, Newton or not, and a step whose residual did not fall hands
-back to Anderson mixing.  Each ``trace`` row ends with how that
-iteration's q_in was made: "start", "mix" or "newton".
+iteration ``diis_start`` on (the first, by default), once max|r| is
+below ``NEWTON_BELOW`` and below its value at the last Newton step (if
+any), the next q_in is the Newton step q_in + (I - J)^-1 r of the
+fixed-point equation q = F(q) instead; the residual then falls
+quadratically.  J = dF/dq_in is exact and costs no further solve:
+``Context.charge_jacobian`` builds it from the orbitals that gave D (the
+charge-response kernel of Niklasson, J. Chem. Phys. 152, 104103 (2020)).
+Its eigenvalues make those of I - J at least one, so the solve is never
+singular.  The history is banked on every iteration, Newton or not, and
+a step whose residual did not fall hands back to Anderson mixing.  Each
+``trace`` row ends with how that iteration's q_in was made: "start",
+"mix" or "newton".
 
 The stopping test is the Frobenius norm of the commutator residual at
 D, whatever norm a caller reports residuals in.  It is taken at D, so
@@ -55,15 +57,12 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# lam, the Tikhonov weight of the Anderson normal equations relative to
-# the mean of their diagonal: REGULARIZATION[0] up to iteration
-# HARD_AFTER and REGULARIZATION[1] beyond it.  The small value keeps the
-# fast last steps of an ordinary solve; the large one bounds the weights
-# of the slow solves that still run after HARD_AFTER iterations, whose
-# history is near-singular, so that they converge however the molecule is
-# placed.
-REGULARIZATION = (1e-10, 1e-4)
-HARD_AFTER = 40
+# The Anderson weights combine the last DEPTH iterations.  lam is the
+# Tikhonov weight of their normal equations relative to the mean of their
+# diagonal; it bounds the weights on a near-singular history, so that slow
+# solves converge however the molecule is placed.
+DEPTH = 8
+REGULARIZATION = 1e-4
 
 # The charge residual max|r| (charge units) below which the Newton step
 # replaces the Anderson combination; see the module docstring.  Far from
@@ -78,29 +77,26 @@ class ScfConfig:
     A solve stops once the Frobenius norm of its commutator residual
     H D S - S D H is at most ``tol``.  ``damping`` is the weight of the
     output charges in each linear mixing step, q_in + damping (q(D) -
-    q_in); ``diis_depth`` the number of recent iterations the
-    regularized Anderson weights combine, and ``diis_start`` the first
-    iteration that combines more than the latest one or may take a Newton
-    step.  Setting ``diis_start`` beyond ``max_iter`` gives plain linear
-    mixing; since H is affine in q and q in D, that follows the
-    Hamiltonians of density damping started from a density with the
-    reference charges.  The regularization and the Newton threshold are
-    module constants (``REGULARIZATION``, ``NEWTON_BELOW``), not settings.
+    q_in); ``diis_start`` the first iteration whose residual may make
+    the next input a Newton step or an Anderson combination (by default
+    the first, so a Newton step may make the input of iteration 2).
+    Setting ``diis_start`` beyond ``max_iter`` gives plain linear mixing;
+    since H is affine in q and q in D, that follows the Hamiltonians of
+    density damping started from a density with the reference charges.
+    The history depth, the regularization and the Newton threshold are
+    module constants (``DEPTH``, ``REGULARIZATION``, ``NEWTON_BELOW``).
     """
 
     max_iter: int = 200
     tol: float = 1e-9
     damping: float = 0.3
-    diis_depth: int = 8
-    diis_start: int = 2
+    diis_start: int = 1
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
-        if self.diis_depth < 2:
-            raise ValueError("diis_depth must be at least 2")
         if not 0 < self.tol < math.inf:  # NaN fails too
             raise ValueError("tol must be positive and finite")
 
@@ -135,11 +131,11 @@ def scf_solve(
     """
     cfg = cfg or ScfConfig()
     ctx = model.Context(g, p)
-    s, beta, depth = ctx.s, cfg.damping, cfg.diis_depth
+    s, beta = ctx.s, cfg.damping
     q_in = ctx.q_ref if d0 is None else model.mulliken_charges(d0, s)
     # Anderson history, oldest first: residuals and damped charges.
-    res_k = np.empty((depth, g.n_atoms))
-    q_k = np.empty((depth, g.n_atoms))
+    res_k = np.empty((DEPTH, g.n_atoms))
+    q_k = np.empty((DEPTH, g.n_atoms))
     k = 0  # banked rows
     trace = []
     best = None  # (err, d, h, e_total, iteration)
@@ -157,7 +153,7 @@ def scf_solve(
             best = (err, d, h, e_total, it)
         if err <= cfg.tol:
             return _package(ctx, d, h, err, e_total, it, True, trace)
-        if k == depth:
+        if k == DEPTH:
             res_k[:-1] = res_k[1:]
             q_k[:-1] = q_k[1:]
             k -= 1
@@ -181,7 +177,7 @@ def scf_solve(
             gram = dr @ dr.T
             scale = gram.trace()
             if scale > 0.0:
-                gram.flat[::m + 1] += REGULARIZATION[it > HARD_AFTER] * scale / m
+                gram.flat[::m + 1] += REGULARIZATION * scale / m
                 gamma = np.linalg.solve(gram, -(dr @ r))
                 q_in = q_in + gamma @ (q_k[:m] - q_in)
 

@@ -163,7 +163,6 @@ def generate_dataset(
         )
         result = mdsim.run_md(seed_geometry, p, cfg)
         idx = md_burnin
-        warm = None
         while len(rows) < n and attempts < max_attempts:
             if idx >= len(result.frames):
                 break
@@ -171,15 +170,12 @@ def generate_dataset(
             frame = result.frames[idx]
             try:
                 g = seed_geometry.with_positions(frame.positions)
-                # Warm-starting from the previous label keeps hot frames
-                # out of cold-start limit cycles.
-                sol = scf.scf_solve(g, p, scf_cfg, d0=warm)
+                sol = scf.scf_solve(g, p, scf_cfg)
             except _SKIPPABLE as exc:
                 log.warning("skipping frame %d: %s", frame.step, exc)
                 idx += 1  # replacement: walk to the next frame
                 continue
             accept(g, sol)
-            warm = sol.density
             idx += md_stride
         if len(rows) < n:
             status = result.aborted or ("diverged" if result.diverged else "ok")

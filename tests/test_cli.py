@@ -108,19 +108,19 @@ def test_non_finite_settings_exit_one(work, tmp_path, capsys, argv, config,
 
 def test_config_key_no_setting_reads_exits_one(work, tmp_path, capsys):
     # A misspelt key used to be dropped silently: this run solved at the
-    # default scf.tol = 1e-9 and alpha = 0.7 and exited 0.
+    # default scf.tol = 1e-9 and alpha = 0.7 and exited 0.  scf.diis_depth
+    # names a setting that is now a module constant.
     cfg = tmp_path / "typo.cfg"
-    cfg.write_text("scf.tolerance = 1e-3\nalpah = 0.5\n")
+    cfg.write_text("scf.tolerance = 1e-3\nalpah = 0.5\nscf.diis_depth = 8\n")
     code = cli.main(["scf", str(work["ring"]), "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "scf.tolerance" in err and "alpah" in err
+    assert "scf.tolerance" in err and "alpah" in err and "scf.diis_depth" in err
     # Every key of the groups scf reads, model and scf, is accepted.
     cfg.write_text("t0 = 2.5\nalpha = 0.7\neps0 = 0.0\neps0.A = -0.5\n"
                    "hubbard_u.A = 8.0\nq_ref.A = 1.0\nscf.tol = 1e-9\n"
-                   "scf.max_iter = 300\nscf.damping = 0.3\n"
-                   "scf.diis_depth = 8\nscf.diis_start = 2\n")
+                   "scf.max_iter = 300\nscf.damping = 0.3\nscf.diis_start = 2\n")
     assert cli.main(["scf", str(work["ring"]), "--config", str(cfg),
                      "--out", str(tmp_path / "ok")]) == 0
     # scf reads no mass and no norm.
@@ -233,6 +233,28 @@ def test_records_hold_the_groups_each_command_reads(records):
     assert "norm" not in keys["scf"] | keys["gen"] | keys["stats"]
 
 
+@pytest.mark.parametrize("argv, unread, read", [
+    (["md", "{ring}", "--mode", "exact", "--steps", "2", "--t-target", "300",
+      "--threshold", "0.1"], ["md.k", "md.threshold"], ["md.steps"]),
+    (["validate", "--dataset", "{ds}", "--predictor", "kernel", "--train", "{ds}",
+      "--k", "4"], ["validate.sigma", "validate.repeat", "validate.shared_noise"],
+     ["validate.k", "validate.train"]),
+    (["validate", "--dataset", "{ds}", "--predictor", "oracle-noise"],
+     ["validate.k"], ["validate.sigma", "validate.repeat", "validate.shared_noise"]),
+    (["validate", "--dataset", "{ds}", "--predictor", "external-file",
+      "--pred", "{ds}"], ["validate.k", "validate.sigma"], ["validate.pred"]),
+], ids=["md-exact", "validate-kernel", "validate-oracle-noise",
+        "validate-external-file"])
+def test_records_leave_out_flags_the_mode_does_not_read(work, tmp_path, argv,
+                                                        unread, read):
+    # These flags have defaults, so every run used to record them.
+    argv = [a.format(ring=work["ring"], ds=work["ds"]) for a in argv]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    record = model.read_config(tmp_path / "resolved_config.txt")
+    assert not [key for key in unread if key in record]
+    assert all(key in record for key in read)
+
+
 def test_md_record_settings_reproduce_the_run(work, tmp_path):
     (tmp_path / "run.cfg").write_text("mass = 2.0\nt0 = 9.0\nscf.tol = 1e-3\n")
     argv = ["md", str(work["ring"]), "--mode", "exact", "--steps", "6",
@@ -290,12 +312,12 @@ def test_scf_writes_solution_bundle(work, tmp_path):
 
 
 def test_scf_trace_names_how_each_input_was_made(work, tmp_path):
-    # The README chain: the reference charges, one mixing step, then
-    # Newton steps once the charge residual is small.
+    # The README chain: the reference charges, then Newton steps from the
+    # first residual on, which is already small.
     assert cli.main(["scf", str(work["chain"]), "--out", str(tmp_path)]) == 0
     rows = read_rows(tmp_path / "trace.csv")
     assert list(rows[0]) == ["iteration", "diis_error", "e_total", "step"]
-    assert [row["step"] for row in rows] == ["start", "mix", "newton", "newton"]
+    assert [row["step"] for row in rows] == ["start", "newton", "newton", "newton"]
     assert [int(row["iteration"]) for row in rows] == [1, 2, 3, 4]
     assert float(rows[-1]["diis_error"]) <= 1e-9
 
@@ -473,7 +495,6 @@ alpha = 0.7
 eps0.B = -2.0
 hubbard_u = 8
 scf.max_iter = 50
-scf.diis_depth = 4
 scf.tol = 1e-9
 mass.B = 10.811
 """
@@ -503,7 +524,7 @@ def _mutate_config(text, kind, where, token):
 def test_mutated_config_gives_typed_errors(mutations):
     # A hostile config is parsed or rejected with FileFormatError; what it
     # parses to becomes settings or a ValueError, the CLI's exit 1.  The
-    # tokens hold no large numbers, so no depth or iteration key is huge.
+    # tokens hold no large numbers, so no iteration key is huge.
     text = _CONFIG
     for mutation in mutations:
         text = _mutate_config(text, *mutation)

@@ -78,7 +78,7 @@ def deque_anderson_inputs(g, p, cfg):
     """
     ctx = model.Context(g, p)
     q_in, beta = ctx.q_ref, cfg.damping
-    hist, inputs, steps = deque(maxlen=cfg.diis_depth), [], ["start"]
+    hist, inputs, steps = deque(maxlen=scf.DEPTH), [], ["start"]
     last_newton = np.inf
     for it in range(1, cfg.max_iter + 1):
         udq = ctx.u * (q_in - ctx.q_ref)
@@ -108,11 +108,15 @@ def deque_anderson_inputs(g, p, cfg):
             m = len(older)
             diffs = np.stack([r - last for r, _ in older])
             gram = diffs @ diffs.T
-            lam = scf.REGULARIZATION[it > scf.HARD_AFTER]
-            gram += lam * np.trace(gram) / m * np.eye(m)
+            gram += scf.REGULARIZATION * np.trace(gram) / m * np.eye(m)
             gamma = np.linalg.solve(gram, -(diffs @ last))
             q_in = q_in + gamma @ np.stack([qk - q_in for _, qk in older])
     return inputs, steps[:len(inputs)]
+
+
+def corpus_geometry(seed):
+    rng = np.random.default_rng(seed)
+    return random_geometry(rng, int(rng.integers(4, 11)))
 
 
 def placed(seed, kind, i):
@@ -122,8 +126,7 @@ def placed(seed, kind, i):
     with its signs fixed to a proper rotation, then a shift in
     [-5, 5)^3), and then 4 atom permutations.
     """
-    rng = np.random.default_rng(seed)
-    g = random_geometry(rng, int(rng.integers(4, 11)))
+    g = corpus_geometry(seed)
     rng = np.random.default_rng(10000 + seed)
     moves = []
     for _ in range(4):
@@ -251,9 +254,9 @@ def test_no_stall_after_reaching_the_basin():
         assert abs(sol.e_total - ref.e_total) <= 1e-7, seed
         iterations += sol.iterations
     assert not failed, failed
-    # The Newton finish: 590 iterations in all, against 1129 with Anderson
+    # The Newton finish: 514 iterations in all, against 1129 with Anderson
     # mixing down to tol.
-    assert iterations <= 700
+    assert iterations <= 560
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
@@ -326,10 +329,10 @@ def test_linear_mixing_follows_density_damping(monkeypatch):
 def assert_inputs_match_deque_oracle(monkeypatch, g):
     p, cfg = model.ModelParams(), scf.ScfConfig()
     expected, steps = deque_anderson_inputs(g, p, cfg)
-    assert len(expected) > cfg.diis_depth + 1
+    assert len(expected) > scf.DEPTH + 1
     # The history wraps before the first Newton step.
     first_newton = steps.index("newton")
-    assert first_newton > cfg.diis_depth + 1
+    assert first_newton > scf.DEPTH + 1
     seen = []
     real = model.Context.orbitals
 
@@ -352,20 +355,22 @@ def assert_inputs_match_deque_oracle(monkeypatch, g):
     return sol
 
 
-@pytest.mark.parametrize("seed", [1, 26, 74])
-def test_anderson_mixing_matches_a_deque_history(monkeypatch, seed):
-    # Corpus systems of 7, 10 and 5 atoms whose solves outlast the
-    # history depth, so the stacked history wraps before the first Newton
-    # step; on seed 74 a Newton step that does not pay hands back to mixing.
-    rng = np.random.default_rng(seed)
-    assert_inputs_match_deque_oracle(
-        monkeypatch, random_geometry(rng, int(rng.integers(4, 11))))
-
-
-def test_anderson_mixing_past_hard_after_matches_a_deque_history(monkeypatch):
-    # A slow solve, so the stronger regularization takes over.
-    sol = assert_inputs_match_deque_oracle(monkeypatch, placed(138, "rot", 0))
-    assert sol.iterations > scf.HARD_AFTER
+# Corpus systems of 7, 10, 5 and 7 atoms and a moved 8-atom one whose
+# solves outlast the history depth, so the stacked history wraps before
+# the first Newton step.  On seed 234 a Newton step that does not pay
+# hands back to mixing, twice.
+@pytest.mark.parametrize("g, hands_back", [
+    (corpus_geometry(1), False),
+    (corpus_geometry(26), False),
+    (corpus_geometry(74), False),
+    (corpus_geometry(234), True),
+    (placed(138, "rot", 0), False),
+], ids=["1", "26", "74", "234", "placed-138-rot-0"])
+def test_anderson_mixing_matches_a_deque_history(monkeypatch, g, hands_back):
+    sol = assert_inputs_match_deque_oracle(monkeypatch, g)
+    steps = [row[3] for row in sol.trace]
+    handed_back = any(a == "newton" and b == "mix" for a, b in zip(steps, steps[1:]))
+    assert handed_back == hands_back
 
 
 # Moved or permuted copies of damping-convergent corpus-style geometries
@@ -509,7 +514,5 @@ def test_scf_config_validation():
         scf.ScfConfig(damping=0.0)
     with pytest.raises(ValueError):
         scf.ScfConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        scf.ScfConfig(diis_depth=1)
     with pytest.raises(ValueError):
         scf.ScfConfig(tol=0.0)
