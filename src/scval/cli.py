@@ -239,7 +239,10 @@ def cmd_gen(args) -> int:
     )
     out = _outdir(args)
     surrogate.save_dataset(ds, out)
-    run.write(out)
+    # Each mode records only the flags it reads.
+    unread = (("temperature", "md_dt", "md_stride", "md_burnin", "md_tau")
+              if args.mode == "random_perturb" else ("amplitude",))
+    run.write(out, **dict.fromkeys(unread))
     return EXIT_OK
 
 
@@ -280,10 +283,10 @@ def cmd_validate(args) -> int:
                             "train", "bandwidth", "k", "pred"))
 
     # predict(entries, label, block_g) gives the records of the entries of a
-    # block (a range), entry by entry, as one stacked Prediction and their
-    # system names; ``label`` holds each record's labeled solution and
-    # ``block_g`` the block's checked geometry stack, one frame per entry.
-    # An entry has ``per_entry`` records.
+    # block (a range) as one stacked Prediction, made in one call over the
+    # whole block, and their system names; ``label`` holds each record's
+    # labeled solution and ``block_g`` the block's checked geometry stack,
+    # one frame per entry.  An entry has ``per_entry`` records.
     if args.predictor == "oracle-noise":
         sigmas_h = _floats(args.sigma)
         sigmas_d = _floats(args.sigma_d) if args.sigma_d else sigmas_h
@@ -313,12 +316,8 @@ def cmd_validate(args) -> int:
         per_entry = 1
 
         def predict(entries, label, block_g):
-            preds = [surrogate.kernel_predict(km, block_g.take(b))
-                     for b in range(len(entries))]
-            stack = validator.Prediction(np.stack([p.h_pred for p in preds]),
-                                         np.stack([p.d_pred for p in preds]),
-                                         "kernel")
-            return stack, [f"{i:04d}" for i in entries]
+            pred = surrogate.kernel_predict(km, block_g)
+            return pred, [f"{i:04d}" for i in entries]
     elif args.predictor == "external-file":
         if not args.pred:
             raise ValueError("external-file predictor needs --pred DIR")
@@ -394,9 +393,9 @@ def cmd_grad(args) -> int:
     g = model.load_geometry(args.geometry)
     run = _Settings(args, g.species)
     km, _ = _kernel_from_args(args)
-    predictor = lambda gg: surrogate.kernel_predict(km, gg)
     grad = validator.self_diis_position_gradient(
-        g, run.params, predictor, step=args.step, norm=run.norm
+        g, run.params, functools.partial(surrogate.kernel_predict, km),
+        step=args.step, norm=run.norm,
     )
     out = _outdir(args)
     with open(out / "gradient.csv", "w", newline="") as fh:
@@ -427,7 +426,7 @@ def cmd_md(args) -> int:
                             "calibrate_percentile"))
     if args.mode in ("surrogate_only", "predictor_corrector"):
         km, train = _kernel_from_args(args)
-        predictor = lambda gg: surrogate.kernel_predict(km, gg)
+        predictor = functools.partial(surrogate.kernel_predict, km)
         worked.update(train=args.train, bandwidth=km.bandwidth, k=km.k_neighbors)
     if args.mode == "predictor_corrector":
         if threshold is None:

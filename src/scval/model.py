@@ -101,16 +101,6 @@ class Geometry:
     def with_positions(self, positions) -> "Geometry":
         return Geometry(self.species, positions, self.n_electrons)
 
-    def take(self, rows) -> "Geometry":
-        """The stack of the frames of this stack that ``rows`` indexes.
-
-        They were checked as frames of this geometry, so they are not
-        checked again.
-        """
-        out = copy.copy(self)
-        out.positions = self.positions[rows]
-        return out
-
 
 def pair_distances(positions) -> np.ndarray:
     """(..., n, n) interatomic distances of one (n, 3) frame or a stack."""
@@ -306,9 +296,12 @@ class Context:
         Every term is built here, X included, once per frame of this
         stack, and the new context's S, H0, X and E_rep are indexed from
         them rather than rebuilt, so a frame that ``rows`` names many
-        times costs one build.
+        times costs one build.  The frames were checked as frames of this
+        stack and are not checked again.
         """
-        out = Context(self.g.take(rows), self.p)
+        g = copy.copy(self.g)
+        g.positions = self.g.positions[rows]
+        out = Context(g, self.p)
         for name in self._FRAME_TERMS:
             out.__dict__[name] = getattr(self, name)[rows]
         return out

@@ -268,20 +268,20 @@ class KernelModel:
     k_neighbors: int
 
 
-# Rows of the distance matrix computed per block: memory O(chunk * m * P)
-# rather than one (m, m, P) difference tensor.
+# Rows of a distance matrix, or of kernel averages, computed per block:
+# memory O(chunk * m * P), not one (B, m, P) difference tensor.
 _DISTANCE_CHUNK = 64
 
 
-def _descriptor_distances(desc: np.ndarray) -> np.ndarray:
-    """(m, m) Euclidean distances between the rows of ``desc``.
+def _descriptor_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between the rows of a and b.
 
-    Exact row differences, a block of rows at a time; each entry is the
-    same sum as in one full (m, m, P) tensor.
+    Exact row differences, a block of rows of ``a`` at a time; each entry
+    is the same sum as in one full (len(a), len(b), P) tensor.
     """
-    out = np.empty((len(desc), len(desc)))
-    for start in range(0, len(desc), _DISTANCE_CHUNK):
-        block = desc[start:start + _DISTANCE_CHUNK, None, :] - desc[None, :, :]
+    out = np.empty((len(a), len(b)))
+    for start in range(0, len(a), _DISTANCE_CHUNK):
+        block = a[start:start + _DISTANCE_CHUNK, None, :] - b[None, :, :]
         out[start:start + len(block)] = np.sqrt((block**2).sum(-1))
     return out
 
@@ -310,7 +310,7 @@ def _fit(ds: Dataset, bandwidth, k_neighbors) -> tuple:
     desc = descriptor(ds.positions)
     dist = None
     if bandwidth is None:
-        dist = _descriptor_distances(desc)
+        dist = _descriptor_distances(desc, desc)
         np.fill_diagonal(dist, np.inf)
         nn = dist.min(axis=1) if m > 1 else np.array([np.inf])
         finite = nn[np.isfinite(nn)]
@@ -333,30 +333,42 @@ def _fit(ds: Dataset, bandwidth, k_neighbors) -> tuple:
     return km, dist
 
 
-def _kernel_average(m: KernelModel, dists: np.ndarray) -> Prediction:
-    # Stable nearest-k selection: ties broken by training index.
-    order = np.argsort(dists, kind="stable")[: m.k_neighbors]
-    d = dists[order]
-    # Shift before exponentiating so the nearest neighbor always has
-    # weight 1; keeps far queries from underflowing to 0/0.
-    w = np.exp(-(d * d - d[0] * d[0]) / (2.0 * m.bandwidth**2))
-    w /= w.sum()
-    h = np.tensordot(w, m.h_train[order], axes=1)
-    dmat = np.tensordot(w, m.d_train[order], axes=1)
-    return Prediction(
-        h_pred=matcore.symmetrize(h),
-        d_pred=matcore.symmetrize(dmat),
-        source="kernel",
-    )
+def _kernel_average(m: KernelModel, dists: np.ndarray) -> np.ndarray:
+    """The (2, B, n, n) stacks H, D: row b of the (B, m) training distances
+    ``dists`` averages its k nearest pairs with Gaussian weights.
+
+    Rows go a block at a time; each gets the bits it would get alone.
+    """
+    k, n = m.k_neighbors, m.h_train.shape[-1]
+    out = np.empty((2, len(dists), n, n))
+    for start in range(0, len(dists), _DISTANCE_CHUNK):
+        rows = dists[start:start + _DISTANCE_CHUNK]
+        # Stable nearest-k selection: ties broken by training index.
+        order = np.argsort(rows, axis=1, kind="stable")[:, :k]
+        d = np.take_along_axis(rows, order, axis=1)
+        # Shift before exponentiating so the nearest neighbor always has
+        # weight 1; keeps far queries from underflowing to 0/0.
+        w = np.exp(-(d * d - d[:, :1] * d[:, :1]) / (2.0 * m.bandwidth**2))
+        w /= w.sum(axis=1, keepdims=True)
+        for mean, train in zip(out, (m.h_train, m.d_train)):
+            gathered = train[order].reshape(len(rows), k, n * n)
+            mean[start:start + len(rows)] = (w[:, None, :] @ gathered).reshape(-1, n, n)
+    return matcore.symmetrize(out)
 
 
 def kernel_predict(m: KernelModel, g: model.Geometry) -> Prediction:
-    """Gaussian-weighted average of the k nearest training pairs."""
+    """Gaussian-weighted average of the k nearest training pairs.
+
+    One frame gives one (n, n) pair; a (B, n, 3) stack gives a (B, n, n)
+    stack whose row b is frame b's own prediction, bit for bit.  Either
+    way it is one pass and one :class:`Prediction`.
+    """
     if g.species != m.species or g.n_electrons != m.n_electrons:
         raise SpeciesMismatch("query system does not match the training system")
     q = descriptor(g.positions)
-    dists = np.sqrt(((m.descriptors - q) ** 2).sum(axis=1))
-    return _kernel_average(m, dists)
+    dists = _descriptor_distances(q.reshape(-1, q.shape[-1]), m.descriptors)
+    h, d = _kernel_average(m, dists).reshape(2, *g.positions.shape[:-1], g.n_atoms)
+    return Prediction(h, d, source="kernel")
 
 
 def kernel_loo(
@@ -369,19 +381,19 @@ def kernel_loo(
 
     Returns arrays of per-entry self residuals and elementwise MAEs of
     the held-out predictions; the self_diis array is what threshold
-    calibration takes its percentile from.
+    calibration takes its percentile from.  All m entries are predicted
+    in one pass over the (m, m) distances, each held out by an infinite
+    distance to itself.
     """
     m, full = _fit(ds, bandwidth, k_neighbors)
     n_entries = len(ds)
     if n_entries < 2:
         raise EmptyDataset("leave-one-out needs at least two entries")
     if full is None:
-        full = _descriptor_distances(m.descriptors)
+        full = _descriptor_distances(m.descriptors, m.descriptors)
         np.fill_diagonal(full, np.inf)  # as _fit's: each entry held out
     loo_model = replace(m, k_neighbors=min(m.k_neighbors, n_entries - 1))
-    preds = [_kernel_average(loo_model, dists) for dists in full]
-    stack = Prediction(np.stack([pred.h_pred for pred in preds]),
-                       np.stack([pred.d_pred for pred in preds]))
+    stack = Prediction(*_kernel_average(loo_model, full), source="kernel")
     return {
         "self_diis": self_diis(stack, ds.overlap, norm),
         "mae_h": matrix_mae(stack.h_pred, ds.hamiltonian),

@@ -183,23 +183,17 @@ def self_diis_position_gradient(
     """Central-difference d(self_diis)/d(position), shape (n_atoms, 3).
 
     Large entries flag directions in which the predictor's internal
-    consistency degrades fastest; evaluations are serial, so any
-    stateful predictor is safe to use.
+    consistency degrades fastest.  The 6 n_atoms displaced frames (each
+    coordinate moved by +step, then each by -step) go to ``predictor``
+    as one (6 n_atoms, n_atoms, 3) stack, so it must map a stack of
+    frames to a stacked :class:`Prediction`, row b predicted for frame b;
+    their overlaps are built in one pass as well.
     """
-
-    def value(positions):
-        gp = g.with_positions(positions)
-        return self_diis(predictor(gp), model.build_overlap(gp, p), norm)
-
-    grad = np.zeros((g.n_atoms, 3))
-    for i in range(g.n_atoms):
-        for a in range(3):
-            plus = g.positions.copy()
-            plus[i, a] += step
-            minus = g.positions.copy()
-            minus[i, a] -= step
-            grad[i, a] = (value(plus) - value(minus)) / (2.0 * step)
-    return grad
+    n3 = 3 * g.n_atoms
+    shifts = step * np.eye(n3).reshape(n3, g.n_atoms, 3)
+    frames = g.with_positions(g.positions + np.concatenate([shifts, -shifts]))
+    values = self_diis(predictor(frames), model.build_overlap(frames, p), norm)
+    return ((values[:n3] - values[n3:]) / (2.0 * step)).reshape(g.n_atoms, 3)
 
 
 # ---------------------------------------------------------------------------

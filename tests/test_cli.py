@@ -243,8 +243,15 @@ def test_records_hold_the_groups_each_command_reads(records):
      ["validate.k"], ["validate.sigma", "validate.repeat", "validate.shared_noise"]),
     (["validate", "--dataset", "{ds}", "--predictor", "external-file",
       "--pred", "{ds}"], ["validate.k", "validate.sigma"], ["validate.pred"]),
+    (["gen", "{ring}", "--n", "2"],
+     ["gen.temperature", "gen.md_dt", "gen.md_stride", "gen.md_burnin",
+      "gen.md_tau"], ["gen.amplitude", "gen.mode", "gen.n"]),
+    (["gen", "{ring}", "--n", "2", "--mode", "md_sample", "--md-burnin", "4",
+      "--md-stride", "2"], ["gen.amplitude"],
+     ["gen.temperature", "gen.md_dt", "gen.md_stride", "gen.md_burnin",
+      "gen.md_tau"]),
 ], ids=["md-exact", "validate-kernel", "validate-oracle-noise",
-        "validate-external-file"])
+        "validate-external-file", "gen-random_perturb", "gen-md_sample"])
 def test_records_leave_out_flags_the_mode_does_not_read(work, tmp_path, argv,
                                                         unread, read):
     # These flags have defaults, so every run used to record them.

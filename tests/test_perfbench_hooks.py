@@ -67,3 +67,19 @@ def test_traced_validate_run_counts_every_label_solve():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["correct"] is True
     assert out["metrics"]["scf.scf_solve.calls"]["value"] >= 100
+
+
+def test_traced_md_gated_run_predicts_once_per_step():
+    # The tracer counts kernel_predict through the module attribute, so a
+    # predictor bound to the function before the tracer wrapped it would
+    # go uncounted; each gated step predicts its one frame.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "md_gated",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["correct"] is True
+    value = {name: m["value"] for name, m in out["metrics"].items()}
+    assert value["surrogate.kernel_predict.calls"] == (
+        value["mdsim.steps_corrected"] + value["mdsim.steps_surrogate"])

@@ -255,13 +255,41 @@ def test_kernel_prediction_symmetric_and_deterministic():
 
 
 @pytest.fixture(scope="module")
-def ring_kernel():
+def ring_dataset():
+    """16 labeled perturbed six-atom rings."""
+    ring = ring_geometry(6, spacing=1.5, n_electrons=6)
+    return surrogate.generate_dataset(ring, P, 16, amplitude=0.05, seed=1)
+
+
+@pytest.fixture(scope="module")
+def ring_kernel(ring_dataset):
     """A kernel model of 16 perturbed six-atom rings, and a perturbed query."""
     ring = ring_geometry(6, spacing=1.5, n_electrons=6)
-    km = surrogate.kernel_fit(
-        surrogate.generate_dataset(ring, P, 16, amplitude=0.05, seed=1))
+    km = surrogate.kernel_fit(ring_dataset)
     shift = np.random.default_rng(2).normal(0.0, 0.05, ring.positions.shape)
     return km, ring.with_positions(ring.positions + shift)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(bandwidth=st.one_of(st.none(), st.floats(0.01, 1.0)),
+       k=st.integers(1, 16), b=st.integers(1, 12),
+       scale=st.sampled_from([0.0, 0.02, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_kernel_prediction_of_a_stack_is_the_per_frame_predictions(
+        ring_dataset, bandwidth, k, b, scale, seed):
+    # Queries near (or, at scale 0, on) training frames, repeats allowed.
+    km = surrogate.kernel_fit(ring_dataset, bandwidth=bandwidth, k_neighbors=k)
+    rng = np.random.default_rng(seed)
+    positions = (ring_dataset.positions[rng.integers(0, 16, b)]
+                 + scale * rng.standard_normal((b, 6, 3)))
+    ring = ring_dataset.geometry(0)
+    stack = surrogate.kernel_predict(km, ring.with_positions(positions))
+    assert stack.h_pred.shape == stack.d_pred.shape == (b, 6, 6)
+    for row, pos in enumerate(positions):
+        one = surrogate.kernel_predict(km, ring.with_positions(pos))
+        assert one.h_pred.shape == (6, 6)
+        np.testing.assert_array_equal(stack.h_pred[row], one.h_pred)
+        np.testing.assert_array_equal(stack.d_pred[row], one.d_pred)
+        assert stack.source == one.source == "kernel"
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -339,13 +367,13 @@ def test_leave_one_out_builds_the_distance_matrix_once(monkeypatch):
     calls = []
     real = surrogate._descriptor_distances
 
-    def counting(desc):
-        calls.append(len(desc))
-        return real(desc)
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
 
     monkeypatch.setattr(surrogate, "_descriptor_distances", counting)
     picked = surrogate.kernel_loo(ds, k_neighbors=4)
-    assert calls == [12]
+    assert calls == [(12, 12)]
     monkeypatch.undo()
     # The bandwidth it picks is kernel_fit's, and the arrays are those of
     # a run given that bandwidth, bit for bit.
@@ -360,7 +388,10 @@ def test_descriptor_distances_match_the_full_tensor():
     # the same sum as in the one-tensor form, bit for bit.
     desc = np.random.default_rng(3).standard_normal((150, 15))
     full = np.sqrt(((desc[:, None, :] - desc[None, :, :]) ** 2).sum(-1))
-    np.testing.assert_array_equal(surrogate._descriptor_distances(desc), full)
+    np.testing.assert_array_equal(surrogate._descriptor_distances(desc, desc), full)
+    # Queries against a training set: rows of the same matrix.
+    np.testing.assert_array_equal(
+        surrogate._descriptor_distances(desc[70:], desc), full[70:])
 
 
 def test_descriptor_distances_memory_is_bounded():
@@ -369,11 +400,40 @@ def test_descriptor_distances_memory_is_bounded():
     desc = np.random.default_rng(4).standard_normal((2000, 15))
     tracemalloc.start()
     try:
-        surrogate._descriptor_distances(desc)
+        surrogate._descriptor_distances(desc, desc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 120e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def per_row_leave_one_out(ds, k):
+    """kernel_loo's arrays, each entry predicted on its own from the rest."""
+    km = surrogate.kernel_fit(ds, k_neighbors=k)
+    h, d = [], []
+    for i, q in enumerate(km.descriptors):
+        dists = np.sqrt(((km.descriptors - q) ** 2).sum(axis=1))
+        dists[i] = np.inf
+        order = np.argsort(dists, kind="stable")[:min(k, len(ds) - 1)]
+        near = dists[order]
+        w = np.exp(-(near * near - near[0] * near[0]) / (2.0 * km.bandwidth**2))
+        w /= w.sum()
+        h.append(matcore.symmetrize(np.tensordot(w, ds.hamiltonian[order], axes=1)))
+        d.append(matcore.symmetrize(np.tensordot(w, ds.density[order], axes=1)))
+    pred = validator.Prediction(np.stack(h), np.stack(d))
+    return {"self_diis": validator.self_diis(pred, ds.overlap),
+            "mae_h": validator.matrix_mae(pred.h_pred, ds.hamiltonian),
+            "mae_d": validator.matrix_mae(pred.d_pred, ds.density)}
+
+
+def test_leave_one_out_is_the_per_row_loop_bit_for_bit():
+    # 150 entries span two full blocks of rows and a partial one.
+    ring = ring_geometry(6, spacing=1.5, n_electrons=6)
+    ds = surrogate.generate_dataset(ring, P, 150, amplitude=0.05, seed=4)
+    loo = surrogate.kernel_loo(ds, k_neighbors=8)
+    oracle = per_row_leave_one_out(ds, 8)
+    for key in ("self_diis", "mae_h", "mae_d"):
+        np.testing.assert_array_equal(loo[key], oracle[key], key)
 
 
 def test_leave_one_out_needs_two_entries():

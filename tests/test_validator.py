@@ -36,11 +36,20 @@ def sym_noise(rng, n, sigma):
 
 
 def exact_predictor(p):
-    """Predictor that actually solves SCF; the zero-error reference."""
+    """Predictor that actually solves SCF; the zero-error reference.
+
+    It solves each frame of a stack on its own and stacks the pairs.
+    """
 
     def predict(g):
-        sol = scf.scf_solve(g, p)
-        return validator.Prediction(sol.hamiltonian, sol.density, source="exact")
+        frames = g.positions.reshape(-1, g.n_atoms, 3)
+        sols = [scf.scf_solve(g.with_positions(x), p) for x in frames]
+        shape = g.positions.shape[:-2] + (g.n_atoms, g.n_atoms)
+        return validator.Prediction(
+            np.stack([sol.hamiltonian for sol in sols]).reshape(shape),
+            np.stack([sol.density for sol in sols]).reshape(shape),
+            source="exact",
+        )
 
     return predict
 
