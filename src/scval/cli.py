@@ -250,10 +250,15 @@ def cmd_gen(args) -> int:
 # validate
 
 
-def _kernel_from_args(args):
+def _kernel_from_args(args, loaded=None):
+    """(kernel model, training set) of ``--train``; ``loaded`` is a
+    (directory, dataset) pair already read, reused if ``--train`` is it."""
     if not args.train:
         raise ValueError("kernel predictor needs --train DIR")
-    train = surrogate.load_dataset(args.train)
+    if loaded and Path(args.train).resolve() == Path(loaded[0]).resolve():
+        train = loaded[1]
+    else:
+        train = surrogate.load_dataset(args.train)
     return surrogate.kernel_fit(
         train, bandwidth=args.bandwidth, k_neighbors=args.k
     ), train
@@ -311,7 +316,7 @@ def cmd_validate(args) -> int:
             )
             return pred, [f"{i:04d}:s{j}:r{k}" for i, j, k in keys]
     elif args.predictor == "kernel":
-        km, train = _kernel_from_args(args)
+        km, _ = _kernel_from_args(args, (args.dataset, ds))
         worked.update(train=args.train, bandwidth=km.bandwidth, k=km.k_neighbors)
         per_entry = 1
 

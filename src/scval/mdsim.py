@@ -235,23 +235,20 @@ def run_md(
 
 
 def write_trajectory_xyz(path, result: MdResult, g0: model.Geometry, dt: float) -> None:
-    """Multi-frame extended xyz; this is the primary trajectory output."""
+    """Multi-frame extended xyz; this is the primary trajectory output.
+
+    The frames' positions were checked as the run made them.
+    """
     with open(path, "w") as fh:
-        for frame in result.frames:
-            g = g0.with_positions(frame.positions)
-            fh.write(
-                model.format_xyz_frame(
-                    g,
-                    extra={
-                        "step": frame.step,
-                        "time_fs": frame.step * dt,
-                        "e_total": frame.e_total,
-                        "temperature": frame.temperature,
-                        "max_force": frame.max_force,
-                        "corrected": frame.corrected,
-                    },
-                )
-            )
+        for f in result.frames:
+            fh.write(model.format_xyz_frame(g0.species, f.positions, g0.n_electrons, {
+                "step": f.step,
+                "time_fs": f.step * dt,
+                "e_total": f.e_total,
+                "temperature": f.temperature,
+                "max_force": f.max_force,
+                "corrected": f.corrected,
+            }))
 
 
 def write_steps_csv(path, result: MdResult) -> None:

@@ -23,12 +23,17 @@ SCF loop and the validator call it once per density, and the SCF loop
 builds each input Hamiltonian from mixed charges with the same formula.
 ``Context.charge_jacobian`` is the exact derivative of the aufbau charges
 of H(q) with respect to q, from the orbitals of H(q); the SCF loop's
-Newton steps use it.  ``effective_hamiltonian``, ``electronic_energy``
-and ``energy`` are views of ``response``.  Build one per geometry, or one
-per stack of geometries and index its rows with ``Context.take``, and
-call its methods.  The module functions ``effective_hamiltonian`` and ``electronic_energy`` are
+Newton steps use it.  ``effective_hamiltonian`` and ``energy`` are views
+of ``response``.  Build one per geometry, or one per stack of geometries
+and index its rows with ``Context.take``, and call its methods.  The
+module functions ``effective_hamiltonian`` and ``electronic_energy`` are
 one-line calls through a fresh context; no pipeline calls them, but they
 stay because ``perfbench/tracing.py`` wraps them by name.
+
+``format_xyz_frame`` is the one extended-XYZ frame writer.  It takes the
+species, positions and electron count of a frame as plain values, so a
+writer of many frames of one system (a trajectory, a dataset bundle)
+builds and checks no :class:`Geometry` per frame.
 """
 
 from __future__ import annotations
@@ -337,7 +342,7 @@ class Context:
     def response(self, d) -> tuple:
         """(q, H(D), E(D)) of a density or a stack, from one Mulliken pass.
 
-        The three methods below are views of this one evaluation.
+        ``energy`` and ``effective_hamiltonian`` are views of it.
         """
         q, h, e_el = self._charge_terms(d)
         return q, h, e_el + self.e_rep
@@ -359,10 +364,6 @@ class Context:
         """
         udq = self.u * (q - self.q_ref)
         return self.h0 + 0.5 * self.s * (udq[..., :, None] + udq[..., None, :])
-
-    def electronic_energy(self, d):
-        """Band plus charge-fluctuation energy, no ion-ion repulsion."""
-        return self._charge_terms(d)[2]
 
     def energy(self, d):
         """Total energy E(D) = tr(D H0) + 1/2 sum U (q - qref)^2 + E_rep."""
@@ -402,7 +403,8 @@ class Context:
 
 
 def electronic_energy(d, g: Geometry, p: ModelParams) -> float:
-    return Context(g, p).electronic_energy(d)
+    """Band plus charge-fluctuation energy, no ion-ion repulsion."""
+    return Context(g, p)._charge_terms(d)[2]
 
 
 def effective_hamiltonian(d, g: Geometry, p: ModelParams) -> np.ndarray:
@@ -456,11 +458,9 @@ def frontier_gap(energies, n_electrons: int):
 # n_electrons, then "species x y z" records.  Positions in Angstrom.
 
 
-def format_xyz_frame(g: Geometry, extra: Mapping | None = None) -> str:
-    return _xyz_frame(g.species, g.positions, g.n_electrons, extra)
-
-
-def _xyz_frame(species, positions, n_electrons, extra=None) -> str:
+def format_xyz_frame(species, positions, n_electrons, extra=None) -> str:
+    """One frame: count line, ``n_electrons`` and ``extra`` as key=value
+    comment pairs, then one ``species x y z`` line per atom."""
     pairs = {"n_electrons": n_electrons}
     if extra:
         pairs.update(extra)
@@ -481,7 +481,7 @@ def _fmt_value(v) -> str:
 
 def dump_geometry(path, g: Geometry, extra: Mapping | None = None) -> None:
     with open(path, "w") as fh:
-        fh.write(format_xyz_frame(g, extra))
+        fh.write(format_xyz_frame(g.species, g.positions, g.n_electrons, extra))
 
 
 def _parse_comment(line: str) -> dict:

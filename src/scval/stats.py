@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData
+from .validator import REPORT_COLUMNS
 
 __all__ = [
     "BinnedSeries",
@@ -32,17 +33,7 @@ DEFAULT_TARGETS = ("strict_diis", "mae", "d_e_total", "d_gap")
 _ROWS_PER_WRITE = 256
 
 # Report-field lookup for target names; "mae" means the Hamiltonian MAE.
-_TARGET_FIELDS = {
-    "strict_diis": "strict_diis",
-    "mae": "mae_h",
-    "mae_h": "mae_h",
-    "mae_d": "mae_d",
-    "d_e_total": "d_e_total",
-    "d_gap": "d_gap",
-    "mixed_hd": "mixed_hd",
-    "mixed_dh": "mixed_dh",
-    "self_diis": "self_diis",
-}
+_TARGET_FIELDS = {c: c for c in REPORT_COLUMNS[2:]} | {"mae": "mae_h"}
 
 
 @dataclass

@@ -125,6 +125,10 @@ def generate_dataset(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if md_stride < 1:
+        raise ValueError(f"md_stride must be at least 1, got {md_stride}")
+    if md_burnin < 0:
+        raise ValueError(f"md_burnin must be non-negative, got {md_burnin}")
     if not (math.isfinite(amplitude) and math.isfinite(temperature)):
         raise ValueError("amplitude and temperature must be finite")
     scf_cfg = scf_cfg or scf.ScfConfig()
@@ -319,8 +323,8 @@ def _fit(ds: Dataset, bandwidth, k_neighbors) -> tuple:
             positive = dist[np.isfinite(dist) & (dist > 0)]
             med = float(positive.min()) if positive.size else 1.0
         bandwidth = med
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     km = KernelModel(
         species=ds.species,
         n_electrons=ds.n_electrons,
@@ -458,8 +462,8 @@ def save_dataset(ds: Dataset, path) -> None:
     """Write ``ds`` as one v2 bundle (layout above) in directory ``path``."""
     path = Path(path)
     frames = (
-        model._xyz_frame(ds.species, pos, ds.n_electrons,
-                         {k: f(ds.labels[k][i]) for k, f in _LABELS.items()})
+        model.format_xyz_frame(ds.species, pos, ds.n_electrons,
+                               {k: f(ds.labels[k][i]) for k, f in _LABELS.items()})
         for i, pos in enumerate(ds.positions)
     )
     _write_stack(path, frames, {k: getattr(ds, name) for k, name in _KINDS.items()})

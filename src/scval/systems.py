@@ -6,7 +6,7 @@ import numpy as np
 
 from .model import Geometry
 
-__all__ = ["ring_geometry", "chain_geometry", "random_geometry", "perturbed"]
+__all__ = ["ring_geometry", "chain_geometry", "random_geometry"]
 
 
 def ring_geometry(
@@ -64,11 +64,6 @@ def random_geometry(
     sp = _species_list(species, n_atoms)
     ne = n_electrons if n_electrons is not None else 2 * (n_atoms // 2) or 2
     return Geometry(sp, pos, ne)
-
-
-def perturbed(g: Geometry, rng: np.random.Generator, amplitude: float) -> Geometry:
-    disp = rng.uniform(-amplitude, amplitude, size=g.positions.shape)
-    return g.with_positions(g.positions + disp)
 
 
 def _species_list(species, n_atoms: int):

@@ -189,6 +189,8 @@ def self_diis_position_gradient(
     frames to a stacked :class:`Prediction`, row b predicted for frame b;
     their overlaps are built in one pass as well.
     """
+    if step == 0 or not math.isfinite(step):
+        raise ValueError(f"step must be nonzero and finite, got {step!r}")
     n3 = 3 * g.n_atoms
     shifts = step * np.eye(n3).reshape(n3, g.n_atoms, 3)
     frames = g.with_positions(g.positions + np.concatenate([shifts, -shifts]))

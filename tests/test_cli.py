@@ -81,6 +81,12 @@ def test_gated_md_without_threshold_exits_one(work, tmp_path):
 
 
 _EXACT_MD = ["md", "{ring}", "--mode", "exact", "--steps", "2"]
+_SURROGATE_MD = ["md", "{ring}", "--mode", "surrogate_only", "--train", "{ds}",
+                 "--steps", "2", "--t-target", "300"]
+_KERNEL_VALIDATE = ["validate", "--dataset", "{ds}", "--predictor", "kernel",
+                    "--train", "{ds}"]
+_GRAD = ["grad", "{ring}", "--train", "{ds}", "--k", "4"]
+_MD_SAMPLE = ["gen", "{ring}", "--n", "2", "--mode", "md_sample"]
 
 
 @pytest.mark.parametrize("argv, config, setting", [
@@ -95,6 +101,15 @@ _EXACT_MD = ["md", "{ring}", "--mode", "exact", "--steps", "2"]
     (["md", "{ring}", "--mode", "predictor_corrector", "--train", "{ds}",
       "--threshold", "nan", "--steps", "2", "--t-target", "300"], "", "threshold"),
     (["gen", "{ring}", "--n", "2", "--amplitude", "nan"], "", "amplitude"),
+    *((_GRAD + ["--step", step], "", "step") for step in ("0", "nan", "inf")),
+    *((_KERNEL_VALIDATE + ["--bandwidth", h], "", "bandwidth") for h in ("nan", "inf")),
+    *((_SURROGATE_MD + ["--bandwidth", h], "", "bandwidth") for h in ("nan", "inf")),
+    # Finite but out of range: a zero step gave an all-NaN gradient, a zero
+    # stride harvested one frame n times, a negative burn-in indexed from
+    # the trajectory's end.
+    (_MD_SAMPLE + ["--md-stride", "0", "--md-burnin", "5"], "", "md_stride"),
+    (_MD_SAMPLE + ["--md-stride", "-3"], "", "md_stride"),
+    (_MD_SAMPLE + ["--md-burnin", "-5"], "", "md_burnin"),
 ])
 def test_non_finite_settings_exit_one(work, tmp_path, capsys, argv, config,
                                       setting):
@@ -582,7 +597,8 @@ def test_external_bundle_must_match_dataset(work, tmp_path, capsys, case):
         pos[2, 1] += 0.01
         geometries[5] = geometries[5].with_positions(pos)
         message = "frame 5 is not the geometry of entry 5"
-    frames = map(model.format_xyz_frame, geometries)
+    frames = (model.format_xyz_frame(g.species, g.positions, g.n_electrons)
+              for g in geometries)
     surrogate._write_stack(tmp_path / "pred", frames, {
         "H": ds.hamiltonian[:m], "D": ds.density[:m],
     })
@@ -663,7 +679,8 @@ def test_validate_blocks_match_per_entry_oracle(work, tmp_path, predictor):
         rng = np.random.default_rng(8)
         h, d = (stack + 0.01 * matcore.symmetrize(rng.standard_normal(stack.shape))
                 for stack in (ds.hamiltonian, ds.density))
-        frames = (model.format_xyz_frame(ds.geometry(i)) for i in range(len(ds)))
+        frames = (model.format_xyz_frame(ds.species, pos, ds.n_electrons)
+                  for pos in ds.positions)
         surrogate._write_stack(tmp_path / "pred", frames, {"H": h, "D": d})
         flags = ["--pred", str(tmp_path / "pred")]
 
@@ -715,6 +732,26 @@ def test_validate_rerun_is_byte_identical(work, tmp_path):
                          "--k", "4", "--seed", "9", "--out", str(out)])
         assert code == 0
         blobs.append((out / "reports.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_validate_reads_a_train_set_that_is_the_dataset_once(work, tmp_path,
+                                                             monkeypatch):
+    copy = tmp_path / "train"
+    shutil.copytree(work["ds"], copy)
+    loads = []
+    load = surrogate.load_dataset
+    monkeypatch.setattr(surrogate, "load_dataset",
+                        lambda path: loads.append(path) or load(path))
+    blobs = []
+    for train in (copy, work["ds"]):
+        out = tmp_path / train.name
+        code = cli.main(["validate", "--dataset", str(work["ds"]),
+                         "--predictor", "kernel", "--train", str(train),
+                         "--k", "4", "--out", str(out)])
+        assert code == 0
+        blobs.append((out / "reports.csv").read_bytes())
+    assert loads == [str(work["ds"]), str(copy), str(work["ds"])]
     assert blobs[0] == blobs[1]
 
 

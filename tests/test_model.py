@@ -513,7 +513,8 @@ def test_xyz_extra_comment_fields(tmp_path):
 
 
 def test_xyz_multi_frame_parse():
-    text = model.format_xyz_frame(dimer(1.4)) + model.format_xyz_frame(dimer(1.6))
+    text = "".join(model.format_xyz_frame(g.species, g.positions, g.n_electrons)
+                   for g in (dimer(1.4), dimer(1.6)))
     frames = model.parse_xyz_frames(text)
     assert len(frames) == 2
     assert frames[1][0].positions[1, 0] == 1.6
@@ -531,8 +532,10 @@ def test_xyz_parse_errors():
 
 
 def test_xyz_stack_holds_the_frames_of_parse_xyz_frames():
-    text = "".join(model.format_xyz_frame(dimer(r), {"step": k})
-                   for k, r in enumerate((1.4, 1.6, 1.5)))
+    dimers = map(dimer, (1.4, 1.6, 1.5))
+    text = "".join(model.format_xyz_frame(g.species, g.positions, g.n_electrons,
+                                          {"step": k})
+                   for k, g in enumerate(dimers))
     frames = model.parse_xyz_frames(text)
     stack = model.parse_xyz_stack(text)
     assert stack.species == frames[0][0].species

@@ -336,7 +336,9 @@ def test_scf_predictor_source_tag():
 
 
 def _write_prediction_bundle(path, geometries, sols):
-    surrogate._write_stack(path, map(model.format_xyz_frame, geometries), {
+    frames = (model.format_xyz_frame(g.species, g.positions, g.n_electrons)
+              for g in geometries)
+    surrogate._write_stack(path, frames, {
         "H": [sol.hamiltonian for sol in sols],
         "D": [sol.density for sol in sols],
     })
@@ -372,8 +374,9 @@ def test_prediction_bundle_shape_mismatch(tmp_path):
     model.dump_geometry(tmp_path / "geometries.xyz", dimer(1.4))
     with pytest.raises(FileFormatError, match="shape"):
         surrogate._read_stack(tmp_path, "HD")
-    surrogate._write_stack(tmp_path, map(model.format_xyz_frame, [g, dimer(1.4)]),
-                           {})
+    frames = (model.format_xyz_frame(f.species, f.positions, f.n_electrons)
+              for f in (g, dimer(1.4)))
+    surrogate._write_stack(tmp_path, frames, {})
     with pytest.raises(FileFormatError, match="frames differ in atom count"):
         surrogate._read_stack(tmp_path, "HD")
 
