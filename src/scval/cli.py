@@ -28,6 +28,7 @@ from .rng import substream
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
+_RECORDS_PER_BLOCK = 256  # the most records cmd_validate scores in one pass
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; the contract reserves 2 for domain
@@ -68,7 +69,7 @@ def _group(key: str):
     if name == "mass" and (species or not dot):
         return "mass"
     if (key in model.ModelParams.__dataclass_fields__
-            or (name in model._SPECIES_FIELDS and species)):
+            or (name in model.SPECIES_FIELDS and species)):
         return "model"
     return None
 
@@ -164,8 +165,7 @@ class _Settings:
             for key, value in flags.items()
             if key not in _UNRECORDED and value is not None
         ]
-        text = "".join(f"{key} = {model._fmt_value(value)}\n" for key, value in items)
-        (out / "resolved_config.txt").write_text(text)
+        (out / "resolved_config.txt").write_text(model.format_config(items))
 
 
 def _outdir(args) -> Path:
@@ -189,14 +189,12 @@ def _write_solution(out: Path, sol: model.ScfSolution, g) -> None:
     matcore.write_scvm(out / "H.scvm", sol.hamiltonian)
     matcore.write_scvm(out / "D.scvm", sol.density)
     matcore.write_scvm(out / "S.scvm", sol.overlap)
-    with open(out / "summary.txt", "w") as fh:
-        fh.write(f"converged = {int(sol.converged)}\n")
-        fh.write(f"iterations = {sol.iterations}\n")
-        fh.write(f"n_atoms = {g.n_atoms}\n")
-        fh.write(f"n_electrons = {g.n_electrons}\n")
-        fh.write(f"e_total = {sol.e_total:.17g}\n")
-        fh.write(f"gap = {sol.gap:.17g}\n")
-        fh.write(f"strict_diis = {sol.strict_diis:.17g}\n")
+    (out / "summary.txt").write_text(model.format_config([
+        ("converged", int(sol.converged)), ("iterations", int(sol.iterations)),
+        ("n_atoms", g.n_atoms), ("n_electrons", g.n_electrons),
+        ("e_total", float(sol.e_total)), ("gap", float(sol.gap)),
+        ("strict_diis", float(sol.strict_diis)),
+    ]))
     scf.write_trace_csv(out / "trace.csv", sol.trace)
 
 
@@ -250,33 +248,14 @@ def cmd_gen(args) -> int:
 # validate
 
 
-def _kernel_from_args(args, loaded=None):
-    """(kernel model, training set) of ``--train``; ``loaded`` is a
-    (directory, dataset) pair already read, reused if ``--train`` is it."""
+def _train_set(args, loaded=None) -> surrogate.Dataset:
+    """The training set of ``--train``; ``loaded`` is a (directory,
+    dataset) pair already read, reused if ``--train`` is it."""
     if not args.train:
         raise ValueError("kernel predictor needs --train DIR")
     if loaded and Path(args.train).resolve() == Path(loaded[0]).resolve():
-        train = loaded[1]
-    else:
-        train = surrogate.load_dataset(args.train)
-    return surrogate.kernel_fit(
-        train, bandwidth=args.bandwidth, k_neighbors=args.k
-    ), train
-
-
-def _check_frames_match(frames, ds, path) -> None:
-    """A prediction bundle's frames must be the dataset's geometries."""
-    if len(frames.positions) != len(ds):
-        raise FileFormatError(
-            f"{path}: {len(frames.positions)} frames for {len(ds)} entries"
-        )
-    if (frames.species, frames.n_electrons) != (ds.species, ds.n_electrons):
-        bad = np.ones(len(ds), dtype=bool)
-    else:
-        bad = np.abs(frames.positions - ds.positions).max(axis=(1, 2)) > 1e-6
-    if bad.any():
-        i = int(bad.argmax())
-        raise FileFormatError(f"{path}: frame {i} is not the geometry of entry {i}")
+        return loaded[1]
+    return surrogate.load_dataset(args.train)
 
 
 def cmd_validate(args) -> int:
@@ -316,7 +295,8 @@ def cmd_validate(args) -> int:
             )
             return pred, [f"{i:04d}:s{j}:r{k}" for i, j, k in keys]
     elif args.predictor == "kernel":
-        km, _ = _kernel_from_args(args, (args.dataset, ds))
+        km = surrogate.kernel_fit(_train_set(args, (args.dataset, ds)),
+                                  bandwidth=args.bandwidth, k_neighbors=args.k)
         worked.update(train=args.train, bandwidth=km.bandwidth, k=km.k_neighbors)
         per_entry = 1
 
@@ -326,22 +306,21 @@ def cmd_validate(args) -> int:
     elif args.predictor == "external-file":
         if not args.pred:
             raise ValueError("external-file predictor needs --pred DIR")
-        frames, stacks = surrogate._read_stack(args.pred, "HD")
-        _check_frames_match(frames, ds, args.pred)
+        h_pred, d_pred = surrogate.load_prediction(args.pred, ds)
         worked["pred"] = args.pred
         per_entry = 1
 
         def predict(entries, label, block_g):
             block = slice(entries.start, entries.stop)
-            pred = validator.Prediction(stacks["H"][block], stacks["D"][block])
+            pred = validator.Prediction(h_pred[block], d_pred[block])
             return pred, [f"{i:04d}" for i in entries]
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown predictor {args.predictor!r}")
 
-    # Blocks of whole entries, at most _ROWS_PER_WRITE records each.  A
+    # Blocks of whole entries, at most _RECORDS_PER_BLOCK records each.  A
     # block's geometry terms are built once per entry, in one Context, and
     # indexed out to its records; its records are scored in one pass.
-    size = max(1, validator._ROWS_PER_WRITE // per_entry)
+    size = max(1, _RECORDS_PER_BLOCK // per_entry)
     tables = []
     for start in range(0, len(ds), size):
         block = slice(start, start + size)
@@ -397,7 +376,8 @@ def cmd_stats(args) -> int:
 def cmd_grad(args) -> int:
     g = model.load_geometry(args.geometry)
     run = _Settings(args, g.species)
-    km, _ = _kernel_from_args(args)
+    km = surrogate.kernel_fit(_train_set(args), bandwidth=args.bandwidth,
+                              k_neighbors=args.k)
     grad = validator.self_diis_position_gradient(
         g, run.params, functools.partial(surrogate.kernel_predict, km),
         step=args.step, norm=run.norm,
@@ -430,23 +410,23 @@ def cmd_md(args) -> int:
     worked = dict.fromkeys(("train", "bandwidth", "k", "threshold",
                             "calibrate_percentile"))
     if args.mode in ("surrogate_only", "predictor_corrector"):
-        km, train = _kernel_from_args(args)
+        train = _train_set(args)
+        if args.mode == "surrogate_only" or threshold is not None:
+            km = surrogate.kernel_fit(train, bandwidth=args.bandwidth,
+                                      k_neighbors=args.k)
+        elif args.calibrate_percentile is None:
+            raise ValueError(
+                "predictor_corrector needs --threshold or --calibrate-percentile"
+            )
+        else:
+            # The leave-one-out pass fits the kernel the run then uses.
+            loo = surrogate.kernel_loo(train, bandwidth=args.bandwidth,
+                                       k_neighbors=args.k, norm=run.norm)
+            km = loo["model"]
+            threshold = float(np.percentile(loo["self_diis"], args.calibrate_percentile))
         predictor = functools.partial(surrogate.kernel_predict, km)
         worked.update(train=args.train, bandwidth=km.bandwidth, k=km.k_neighbors)
     if args.mode == "predictor_corrector":
-        if threshold is None:
-            if args.calibrate_percentile is None:
-                raise ValueError(
-                    "predictor_corrector needs --threshold or "
-                    "--calibrate-percentile"
-                )
-            loo = surrogate.kernel_loo(
-                train, bandwidth=args.bandwidth, k_neighbors=args.k,
-                norm=run.norm,
-            )
-            threshold = float(
-                np.percentile(loo["self_diis"], args.calibrate_percentile)
-            )
         worked.update(threshold=threshold,
                       calibrate_percentile=args.calibrate_percentile)
 
@@ -467,11 +447,11 @@ def cmd_md(args) -> int:
     mdsim.write_steps_csv(out / "steps.csv", result)
     temps = result.temperatures
     half = temps[len(temps) // 2:] if len(temps) else np.array([float("nan")])
-    with open(out / "summary.txt", "w") as fh:
-        fh.write(f"frames = {len(result.frames)}\n")
-        fh.write(f"diverged = {int(result.diverged)}\n")
-        fh.write(f"aborted = {result.aborted or 'none'}\n")
-        fh.write(f"mean_t_last_half = {float(half.mean()):.17g}\n")
+    (out / "summary.txt").write_text(model.format_config([
+        ("frames", len(result.frames)), ("diverged", int(result.diverged)),
+        ("aborted", result.aborted or "none"),
+        ("mean_t_last_half", float(half.mean())),
+    ]))
     run.write(out, **worked)
     if result.aborted:
         print(f"md: aborted: {result.aborted}", file=sys.stderr)

@@ -4,6 +4,8 @@ validation scheme is built on.
 
 Matrices are plain float64 numpy arrays.  Eigendecompositions delegate to
 numpy's LAPACK bindings; everything layered on top is written out here.
+The tolerances ``SYMMETRY_TOL``, ``LIN_DEP_TOL`` and ``DEGENERACY_TOL``
+are module constants that the functions read directly; no caller sets them.
 """
 
 from __future__ import annotations
@@ -84,20 +86,20 @@ def validate_symmetric(m, name="matrix") -> np.ndarray:
     return m
 
 
-def loewdin_inverse_sqrt(s, lin_dep_tol: float = LIN_DEP_TOL) -> np.ndarray:
+def loewdin_inverse_sqrt(s) -> np.ndarray:
     """Symmetric orthogonalizer X = S^(-1/2) of one overlap or a (B, n, n) stack.
 
     Eigendecomposes each overlap and rebuilds U diag(w^-1/2) U^T.  Any
-    overlap eigenvalue at or below ``lin_dep_tol`` means the basis is
+    overlap eigenvalue at or below ``LIN_DEP_TOL`` means the basis is
     (numerically) linearly dependent and the transform is refused.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim not in (2, 3) or s.shape[-1] != s.shape[-2]:
         raise DimensionMismatch(f"overlap must be square, got shape {s.shape}")
     w, u = np.linalg.eigh(s)
-    if w.min() <= lin_dep_tol:
+    if w.min() <= LIN_DEP_TOL:
         raise LinearDependence(
-            f"overlap eigenvalue {w.min():.3e} <= tolerance {lin_dep_tol:.1e}"
+            f"overlap eigenvalue {w.min():.3e} <= tolerance {LIN_DEP_TOL:.1e}"
         )
     x = (u * w[..., None, :] ** -0.5) @ u.swapaxes(-1, -2)
     return symmetrize(x)
@@ -120,7 +122,7 @@ def _fix_column_signs(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def gen_eigensolve(h, s, lin_dep_tol: float = LIN_DEP_TOL) -> EigSolution:
+def gen_eigensolve(h, s) -> EigSolution:
     """Solve H C = S C diag(e) via Loewdin orthogonalization.
 
     Returns eigenvalues ascending and S-orthonormal eigenvector columns
@@ -132,18 +134,16 @@ def gen_eigensolve(h, s, lin_dep_tol: float = LIN_DEP_TOL) -> EigSolution:
         raise DimensionMismatch(
             f"hamiltonian {h.shape} and overlap {s.shape} differ"
         )
-    x = loewdin_inverse_sqrt(s, lin_dep_tol)
+    x = loewdin_inverse_sqrt(s)
     w, v = np.linalg.eigh(symmetrize(x @ h @ x))
     return EigSolution(coeffs=_fix_column_signs(x @ v), energies=w)
 
 
-def aufbau_occupations(
-    energies, n_electrons: int, degeneracy_tol: float = DEGENERACY_TOL
-) -> np.ndarray:
+def aufbau_occupations(energies, n_electrons: int) -> np.ndarray:
     """Closed-shell filling: lowest N_e/2 levels get occupation 2.
 
     Rejects odd or out-of-range electron counts (DegenerateInput) and a
-    HOMO/LUMO gap below ``degeneracy_tol`` (FermiDegeneracy), where the
+    HOMO/LUMO gap below ``DEGENERACY_TOL`` (FermiDegeneracy), where the
     filling would be arbitrary.
     """
     energies = np.asarray(energies, dtype=float)
@@ -153,10 +153,10 @@ def aufbau_occupations(
             f"cannot fill {n_electrons} electrons into {n} closed-shell levels"
         )
     n_occ = n_electrons // 2
-    if n_occ < n and energies[n_occ] - energies[n_occ - 1] < degeneracy_tol:
+    if n_occ < n and energies[n_occ] - energies[n_occ - 1] < DEGENERACY_TOL:
         raise FermiDegeneracy(
             f"frontier gap {energies[n_occ] - energies[n_occ - 1]:.3e} below "
-            f"{degeneracy_tol:.1e}"
+            f"{DEGENERACY_TOL:.1e}"
         )
     occ = np.zeros(n)
     occ[:n_occ] = 2.0

@@ -95,7 +95,6 @@ class MdResult:
     frames: list
     diverged: bool = False
     aborted: str | None = None
-    threshold: float | None = None
 
     @property
     def positions(self) -> np.ndarray:
@@ -151,7 +150,7 @@ def run_md(
     if cfg.mode != "exact" and predictor is None:
         raise ValueError(f"mode {cfg.mode!r} needs a predictor")
     if masses is None:
-        masses = np.full(g0.n_atoms, model._DEFAULT_MASS)
+        masses = model.masses_from_config({}, g0.species)
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (g0.n_atoms,) or not np.all((masses > 0) & (masses < np.inf)):
         raise ValueError("masses must be positive and finite, one per atom")
@@ -176,7 +175,7 @@ def run_md(
     rng = substream(cfg.seed, "velocities")
     pos = g0.positions.copy()
     vel = maxwell_velocities(rng, masses, cfg.t_target)
-    result = MdResult(frames=[], threshold=cfg.threshold)
+    result = MdResult(frames=[])
 
     try:
         forces, e_total, sd, corrected = evaluate(g0)

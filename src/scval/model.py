@@ -33,7 +33,8 @@ stay because ``perfbench/tracing.py`` wraps them by name.
 ``format_xyz_frame`` is the one extended-XYZ frame writer.  It takes the
 species, positions and electron count of a frame as plain values, so a
 writer of many frames of one system (a trajectory, a dataset bundle)
-builds and checks no :class:`Geometry` per frame.
+builds and checks no :class:`Geometry` per frame.  ``format_config``
+writes every ``key = value`` file, and ``read_config`` reads them back.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "dump_geometry",
     "format_xyz_frame",
     "parse_key_values",
+    "format_config",
     "read_config",
     "model_params_from_config",
     "masses_from_config",
@@ -74,8 +76,6 @@ __all__ = [
 
 # Two atoms closer than this (Angstrom) are rejected as a degenerate overlap.
 R_MIN = 0.3
-
-_DEFAULT_MASS = 12.011  # amu
 
 
 @dataclass
@@ -157,7 +157,7 @@ def _per_atom(value, species, name) -> np.ndarray:
     return np.full(len(species), float(value))
 
 
-_SPECIES_FIELDS = ("hubbard_u", "eps0", "q_ref")
+SPECIES_FIELDS = ("hubbard_u", "eps0", "q_ref")
 _SCALAR_FIELDS = ("t0", "beta", "alpha", "r0", "rep_a", "rep_rho")
 
 
@@ -176,7 +176,7 @@ class ModelParams:
     rep_rho: float = 0.25  # A, repulsion range
 
     def __post_init__(self):
-        for name in _SCALAR_FIELDS + _SPECIES_FIELDS:
+        for name in _SCALAR_FIELDS + SPECIES_FIELDS:
             if not all(math.isfinite(float(v)) for v in self._values(name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("t0", "beta", "alpha", "rep_rho"):
@@ -639,6 +639,12 @@ def _parse_scalar(text: str):
         return text
 
 
+def format_config(items) -> str:
+    """``key = value`` lines of (key, value) pairs, as :func:`read_config` parses
+    them: floats to 17 significant digits, bools as T/F."""
+    return "".join(f"{key} = {_fmt_value(value)}\n" for key, value in items)
+
+
 def parse_key_values(text: str, path="<string>") -> dict:
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -668,20 +674,21 @@ def model_params_from_config(cfg: Mapping) -> ModelParams:
     for name in _SCALAR_FIELDS:
         if name in cfg:
             kwargs[name] = float(cfg[name])
-    for name in _SPECIES_FIELDS:
-        base = ModelParams.__dataclass_fields__[name].default
-        mapping = {"*": float(cfg.get(name, base))}
-        for key, value in cfg.items():
-            if key.startswith(name + "."):
-                mapping[key.split(".", 1)[1]] = float(value)
+    for name in SPECIES_FIELDS:
+        mapping = _species_map(cfg, name, ModelParams.__dataclass_fields__[name].default)
         kwargs[name] = mapping if len(mapping) > 1 else mapping["*"]
     return ModelParams(**kwargs)
 
 
 def masses_from_config(cfg: Mapping, species: Sequence[str]) -> np.ndarray:
     """Per-atom masses in amu; ``mass`` and ``mass.X`` keys, default 12.011."""
-    mapping = {"*": float(cfg.get("mass", _DEFAULT_MASS))}
+    return _per_atom(_species_map(cfg, "mass", 12.011), tuple(species), "mass")
+
+
+def _species_map(cfg: Mapping, name: str, default: float) -> dict:
+    """{"*": the ``name`` key or ``default``, X: each ``name.X`` key}, as floats."""
+    mapping = {"*": float(cfg.get(name, default))}
     for key, value in cfg.items():
-        if key.startswith("mass."):
+        if key.startswith(name + "."):
             mapping[key.split(".", 1)[1]] = float(value)
-    return _per_atom(mapping, tuple(species), "mass")
+    return mapping

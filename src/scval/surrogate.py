@@ -5,11 +5,14 @@ symmetric Gaussian noise, error dialed in exactly) and a kernel
 nearest-neighbor regressor over sorted-distance descriptors.  The kernel
 averages H and D in matrix space, which deliberately produces pairs that
 are not mutually self-consistent; that inconsistency is precisely what
-the validator is supposed to catch.
+the validator is supposed to catch.  ``generate_dataset`` labels the
+candidates of either mode in one loop; ``load_prediction`` is the one
+reader of a prediction bundle, checked against its dataset.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import matcore, model, scf
+from . import matcore, mdsim, model, scf
 from .errors import (
     DegenerateInput,
     EmptyDataset,
@@ -43,6 +46,7 @@ __all__ = [
     "kernel_loo",
     "save_dataset",
     "load_dataset",
+    "load_prediction",
 ]
 
 log = logging.getLogger(__name__)
@@ -114,11 +118,13 @@ def generate_dataset(
 ) -> Dataset:
     """Labeled dataset around a seed geometry.
 
-    random_perturb draws uniform displacements in [-amplitude, amplitude]
-    per coordinate; md_sample harvests frames from an exact-forces
-    trajectory thermostatted at ``temperature``.  Geometries whose solve
-    fails are skipped (logged); after 10*n attempts the generation gives
-    up with GenerationExhausted.
+    Each mode supplies candidates and one loop labels them: random_perturb
+    draws uniform displacements in [-amplitude, amplitude] per coordinate;
+    md_sample offers every ``md_stride``-th frame after ``md_burnin`` of an
+    exact-forces trajectory thermostatted at ``temperature``.  A candidate
+    whose solve fails is skipped (logged) and replaced by the next: a new
+    draw, or the next frame, from which the stride restarts.  After 10*n
+    attempts the generation gives up with GenerationExhausted.
 
     ``scf_cfg`` governs the labeling solves only; the md_sample
     trajectory solves at the ``ScfConfig`` default.
@@ -132,68 +138,58 @@ def generate_dataset(
     if not (math.isfinite(amplitude) and math.isfinite(temperature)):
         raise ValueError("amplitude and temperature must be finite")
     scf_cfg = scf_cfg or scf.ScfConfig()
-    # One row per accepted solve: positions, H, D, S, then the _LABELS.
-    # Keeping these fields, not the solution, lets each trace go.
-    rows = []
-    attempts = 0
-    max_attempts = 10 * n
-
-    def accept(g, sol):
-        rows.append((g.positions, sol.hamiltonian, sol.density, sol.overlap,
-                     *(getattr(sol, k) for k in _LABELS)))
-
+    # Candidates are (name, positions) pairs; a generator is sent whether
+    # its last candidate was kept.
     if mode == "random_perturb":
+        if amplitude < 0:
+            raise ValueError(f"amplitude must be non-negative, got {amplitude}")
         rng = substream(seed, "dataset")
-        while len(rows) < n and attempts < max_attempts:
-            attempts += 1
-            disp = rng.uniform(-amplitude, amplitude, size=(seed_geometry.n_atoms, 3))
-            try:
-                g = seed_geometry.with_positions(seed_geometry.positions + disp)
-                sol = scf.scf_solve(g, p, scf_cfg)
-            except _SKIPPABLE as exc:
-                log.warning("skipping sample %d: %s", attempts, exc)
-                continue
-            accept(g, sol)
+        candidates = ((f"sample {k}", seed_geometry.positions + rng.uniform(
+            -amplitude, amplitude, size=(seed_geometry.n_atoms, 3)))
+            for k in itertools.count(1))
     elif mode == "md_sample":
-        from . import mdsim
+        trajectory = mdsim.run_md(seed_geometry, p, mdsim.MdConfig(
+            dt=md_dt, n_steps=md_burnin + n * md_stride + 5 * md_stride,
+            t_target=temperature, tau=md_tau, mode="exact", seed=seed,
+        ))
 
-        cfg = mdsim.MdConfig(
-            dt=md_dt,
-            n_steps=md_burnin + n * md_stride + 5 * md_stride,
-            t_target=temperature,
-            tau=md_tau,
-            mode="exact",
-            seed=seed,
-        )
-        result = mdsim.run_md(seed_geometry, p, cfg)
-        idx = md_burnin
-        while len(rows) < n and attempts < max_attempts:
-            if idx >= len(result.frames):
-                break
-            attempts += 1
-            frame = result.frames[idx]
-            try:
-                g = seed_geometry.with_positions(frame.positions)
-                sol = scf.scf_solve(g, p, scf_cfg)
-            except _SKIPPABLE as exc:
-                log.warning("skipping frame %d: %s", frame.step, exc)
-                idx += 1  # replacement: walk to the next frame
-                continue
-            accept(g, sol)
-            idx += md_stride
-        if len(rows) < n:
-            status = result.aborted or ("diverged" if result.diverged else "ok")
-            raise GenerationExhausted(
-                f"collected {len(rows)}/{n} samples; sampling trajectory "
-                f"gave {len(result.frames)} frames ({status})"
-            )
+        def harvest(i=md_burnin):
+            while i < len(trajectory.frames):
+                frame = trajectory.frames[i]
+                kept = yield f"frame {frame.step}", frame.positions
+                i += md_stride if kept else 1  # a failed frame: the next one
+
+        candidates = harvest()
     else:
         raise ValueError(f"unknown generation mode {mode!r}")
 
+    # One row per accepted solve: positions, H, D, S, then the _LABELS.
+    # Keeping these fields, not the solution, lets each trace go.
+    rows = []
+    attempts, kept = 0, None
+    while len(rows) < n and attempts < 10 * n:
+        try:
+            name, positions = candidates.send(kept)
+        except StopIteration:
+            break
+        attempts += 1
+        try:
+            g = seed_geometry.with_positions(positions)
+            sol = scf.scf_solve(g, p, scf_cfg)
+        except _SKIPPABLE as exc:
+            log.warning("skipping %s: %s", name, exc)
+            kept = False
+            continue
+        rows.append((g.positions, sol.hamiltonian, sol.density, sol.overlap,
+                     *(getattr(sol, k) for k in _LABELS)))
+        kept = True
     if len(rows) < n:
-        raise GenerationExhausted(
-            f"collected {len(rows)}/{n} samples after {attempts} attempts"
-        )
+        if mode == "random_perturb":
+            why = f" after {attempts} attempts"
+        else:
+            status = trajectory.aborted or ("diverged" if trajectory.diverged else "ok")
+            why = f"; sampling trajectory gave {len(trajectory.frames)} frames ({status})"
+        raise GenerationExhausted(f"collected {len(rows)}/{n} samples{why}")
     metadata = {
         "mode": mode,
         "seed": int(seed),
@@ -387,7 +383,8 @@ def kernel_loo(
     the held-out predictions; the self_diis array is what threshold
     calibration takes its percentile from.  All m entries are predicted
     in one pass over the (m, m) distances, each held out by an infinite
-    distance to itself.
+    distance to itself.  ``"model"`` is the fit those predictions come
+    from, the one :func:`kernel_fit` gives for the same arguments.
     """
     m, full = _fit(ds, bandwidth, k_neighbors)
     n_entries = len(ds)
@@ -402,6 +399,7 @@ def kernel_loo(
         "self_diis": self_diis(stack, ds.overlap, norm),
         "mae_h": matrix_mae(stack.h_pred, ds.hamiltonian),
         "mae_d": matrix_mae(stack.d_pred, ds.density),
+        "model": m,
     }
 
 
@@ -468,8 +466,8 @@ def save_dataset(ds: Dataset, path) -> None:
     )
     _write_stack(path, frames, {k: getattr(ds, name) for k, name in _KINDS.items()})
     meta = {**ds.metadata, "format": _FORMAT, "n_entries": len(ds)}
-    lines = [f"{k} = {model._fmt_value(meta[k])}" for k in _MANIFEST_KEYS if k in meta]
-    (path / _MANIFEST).write_text("\n".join(lines) + "\n")
+    (path / _MANIFEST).write_text(
+        model.format_config((k, meta[k]) for k in _MANIFEST_KEYS if k in meta))
 
 
 def load_dataset(path) -> Dataset:
@@ -509,3 +507,25 @@ def load_dataset(path) -> Dataset:
         **{name: stacks[k] for k, name in _KINDS.items()},
         labels=labels, metadata=metadata,
     )
+
+
+def load_prediction(path, ds: Dataset) -> tuple:
+    """The (m, n, n) H and D stacks of the prediction bundle in ``path``.
+
+    Its frames must be the geometries of ``ds`` in order: the same count,
+    species and electron count, and positions within 1e-6 A; any other
+    frame raises ``FileFormatError`` naming it.
+    """
+    frames, stacks = _read_stack(path, "HD")
+    if len(frames.positions) != len(ds):
+        raise FileFormatError(
+            f"{path}: {len(frames.positions)} frames for {len(ds)} entries"
+        )
+    if (frames.species, frames.n_electrons) != (ds.species, ds.n_electrons):
+        bad = np.ones(len(ds), dtype=bool)
+    else:
+        bad = np.abs(frames.positions - ds.positions).max(axis=(1, 2)) > 1e-6
+    if bad.any():
+        i = int(bad.argmax())
+        raise FileFormatError(f"{path}: frame {i} is not the geometry of entry {i}")
+    return stacks["H"], stacks["D"]

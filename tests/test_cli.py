@@ -110,6 +110,8 @@ _MD_SAMPLE = ["gen", "{ring}", "--n", "2", "--mode", "md_sample"]
     (_MD_SAMPLE + ["--md-stride", "0", "--md-burnin", "5"], "", "md_stride"),
     (_MD_SAMPLE + ["--md-stride", "-3"], "", "md_stride"),
     (_MD_SAMPLE + ["--md-burnin", "-5"], "", "md_burnin"),
+    # numpy's "high - low < 0" named no setting.
+    (["gen", "{ring}", "--n", "2", "--amplitude", "-0.1"], "", "amplitude"),
 ])
 def test_non_finite_settings_exit_one(work, tmp_path, capsys, argv, config,
                                       setting):
@@ -833,6 +835,26 @@ def test_md_calibrates_threshold_from_training_set(work, tmp_path):
     rows = read_rows(tmp_path / "steps.csv")
     assert len(rows) == 11
     assert all(math.isfinite(float(r["self_diis"])) for r in rows)
+
+
+def test_calibrated_md_builds_training_distances_once(work, tmp_path,
+                                                     monkeypatch):
+    # The leave-one-out pass hands its fit to the run; a second kernel_fit
+    # built the descriptors and the (m, m) distances again.
+    shapes = []
+    real = surrogate._descriptor_distances
+
+    def counting(a, b):
+        shapes.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(surrogate, "_descriptor_distances", counting)
+    code = cli.main(["md", str(work["ring"]), "--mode", "predictor_corrector",
+                     "--calibrate-percentile", "50", "--train", str(work["ds"]),
+                     "--steps", "3", "--t-target", "300", "--out", str(tmp_path)])
+    assert code == 0
+    assert shapes.count((12, 12)) == 1
+    assert set(shapes) == {(12, 12), (1, 12)}
 
 
 def test_md_initial_solve_failure_exits_two(work, tmp_path, capsys):

@@ -566,6 +566,21 @@ def test_parse_key_values():
         model.parse_key_values("key =\n")
 
 
+def test_format_config_reads_back():
+    items = [("converged", 1), ("iterations", -12), ("aborted", "none"),
+             ("norm", "frobenius"), ("third", 1 / 3), ("tiny", 5e-324),
+             ("big", -1.2345678901234567e300), ("nan", math.nan),
+             ("inf", math.inf), ("minus_inf", -math.inf)]
+    text = model.format_config(items)
+    assert text.splitlines()[0] == "converged = 1"
+    back = model.parse_key_values(text)
+    assert list(back) == [key for key, _ in items]
+    for key, value in items:
+        got = back[key]
+        assert type(got) is type(value), key
+        assert got == value or (math.isnan(got) and math.isnan(value)), key
+
+
 def test_model_params_from_config_overrides():
     p = model.model_params_from_config(
         {"t0": 3.0, "hubbard_u": 6.0, "hubbard_u.B": 2.0, "eps0.B": -1.5}

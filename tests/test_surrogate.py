@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scval import cli, matcore, model, scf, surrogate, validator
+from scval import cli, matcore, mdsim, model, scf, surrogate, validator
 from scval.errors import (
     EmptyDataset,
     FileFormatError,
     GenerationExhausted,
+    NoConvergence,
     SpeciesMismatch,
 )
 from scval.rng import substream
@@ -148,6 +149,37 @@ def test_md_sample_mode_collects_converged_frames():
     assert len(ds) == 6
     assert ds.metadata["mode"] == "md_sample"
     assert ds.labels["converged"].all()
+
+
+def test_md_sample_replaces_a_failed_frame_with_the_next(monkeypatch, caplog):
+    # The first harvested frame fails its labeling solve: the next frame
+    # takes its place, and the stride restarts from the frame kept.
+    labeling = scf.ScfConfig()
+    trajectories, solved = [], []
+    real_md, real_solve = mdsim.run_md, scf.scf_solve
+
+    def run_md(*args, **kwargs):
+        trajectories.append(real_md(*args, **kwargs))
+        return trajectories[-1]
+
+    def solve(g, p, cfg=None, d0=None):
+        if cfg is labeling:
+            solved.append(g.positions)
+            if len(solved) == 1:
+                raise NoConvergence("refused")
+        return real_solve(g, p, cfg, d0)
+
+    monkeypatch.setattr(mdsim, "run_md", run_md)
+    monkeypatch.setattr(scf, "scf_solve", solve)
+    ds = surrogate.generate_dataset(
+        chain(1.4), P, 3, mode="md_sample", seed=2, scf_cfg=labeling,
+        md_stride=5, md_burnin=20,
+    )
+    frames = trajectories[0].frames
+    for k, i in enumerate((20, 21, 26, 31)):
+        np.testing.assert_array_equal(solved[k], frames[i].positions)
+    np.testing.assert_array_equal(ds.positions, np.stack(solved[1:]))
+    assert "skipping frame 20: refused" in caplog.text
 
 
 def test_generation_gives_up_after_too_many_failures():
@@ -355,7 +387,11 @@ def test_far_query_exceeds_in_distribution_p95():
 def test_leave_one_out_reports_finite_errors():
     ds = surrogate.generate_dataset(chain(1.4), P, 30, amplitude=0.04, seed=12)
     loo = surrogate.kernel_loo(ds, k_neighbors=8)
-    assert set(loo) == {"self_diis", "mae_h", "mae_d"}
+    assert set(loo) == {"self_diis", "mae_h", "mae_d", "model"}
+    # The model is the one kernel_fit gives for the same arguments.
+    km, fit = loo.pop("model"), surrogate.kernel_fit(ds, k_neighbors=8)
+    assert (km.bandwidth, km.k_neighbors) == (fit.bandwidth, fit.k_neighbors)
+    np.testing.assert_array_equal(km.descriptors, fit.descriptors)
     for values in loo.values():
         assert values.shape == (30,)
         assert np.isfinite(values).all()

@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,33 @@ def test_prediction_bundle_shape_mismatch(tmp_path):
     surrogate._write_stack(tmp_path, frames, {})
     with pytest.raises(FileFormatError, match="frames differ in atom count"):
         surrogate._read_stack(tmp_path, "HD")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("count", "4 frames for 5 entries"),
+    ("species", "frame 0 is not the geometry of entry 0"),
+    ("position", "frame 3 is not the geometry of entry 3"),
+])
+def test_load_prediction_checks_frames_against_dataset(tmp_path, case, message):
+    ds = _chain_dataset()
+    geometries = [ds.geometry(i) for i in range(len(ds))]
+    labels = [ds.label(i) for i in range(len(ds))]
+    _write_prediction_bundle(tmp_path / "same", geometries, labels)
+    h, d = surrogate.load_prediction(tmp_path / "same", ds)
+    np.testing.assert_array_equal(h, ds.hamiltonian)
+    np.testing.assert_array_equal(d, ds.density)
+    if case == "count":
+        geometries, labels = geometries[:-1], labels[:-1]
+    elif case == "species":
+        geometries = [model.Geometry(("B",) * g.n_atoms, g.positions, g.n_electrons)
+                      for g in geometries]
+    else:
+        pos = geometries[3].positions.copy()
+        pos[1, 0] += 1e-5
+        geometries[3] = geometries[3].with_positions(pos)
+    _write_prediction_bundle(tmp_path / case, geometries, labels)
+    with pytest.raises(FileFormatError, match=re.escape(f"{tmp_path / case}: {message}")):
+        surrogate.load_prediction(tmp_path / case, ds)
 
 
 def test_reports_csv_roundtrip(tmp_path):
