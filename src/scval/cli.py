@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matcore, mdsim, model, scf, stats, surrogate, validator
 from .errors import FileFormatError, NoConvergence, ScvalError
-from .rng import substream
+from .rng import substreams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -285,12 +285,13 @@ def cmd_validate(args) -> int:
 
         def predict(entries, label, block_g):
             keys = [(i, j, k) for i in entries for j, k in rows]
-            # One stream per record, whatever the evaluation order.
+            # One stream per record, whatever the evaluation order; the
+            # block's streams are seeded together.
             pred = surrogate.oracle_noise_predict(
                 label,
                 [sigmas_h[j] for _, j, _ in keys],
                 [sigmas_d[j] for _, j, _ in keys],
-                [substream(args.seed, "oracle-noise", *key) for key in keys],
+                substreams(args.seed, ("oracle-noise",), keys),
                 shared_noise=args.shared_noise,
             )
             return pred, [f"{i:04d}:s{j}:r{k}" for i, j, k in keys]

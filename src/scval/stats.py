@@ -31,6 +31,9 @@ __all__ = [
 
 DEFAULT_TARGETS = ("strict_diis", "mae", "d_e_total", "d_gap")
 _ROWS_PER_WRITE = 256
+# A plot-data row as csv.writer would write its six "%.17g" fields: no
+# field needs quoting, and "\r\n" is the csv line terminator.
+_PLOT_ROW = ",".join(["%.17g"] * 6) + "\r\n"
 
 # Report-field lookup for target names; "mae" means the Hamiltonian MAE.
 _TARGET_FIELDS = {c: c for c in REPORT_COLUMNS[2:]} | {"mae": "mae_h"}
@@ -253,10 +256,9 @@ def write_plot_data_csv(path, xs, ys, entry: CorrelationEntry) -> None:
     columns = (xs, ys, mean_line, sigma, mean_line - 3.0 * sigma,
                mean_line + 3.0 * sigma)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "fit_mean", "fit_std", "band_lo", "band_hi"])
+        fh.write("x,y,fit_mean,fit_std,band_lo,band_hi\r\n")
         # Formatting a block of rows at a time bounds the text held at once.
         for start in range(0, len(xs), _ROWS_PER_WRITE):
             rows = slice(start, start + _ROWS_PER_WRITE)
-            writer.writerows(zip(*([f"{v:.17g}" for v in c[rows].tolist()]
-                                   for c in columns)))
+            fh.write("".join(_PLOT_ROW % row
+                             for row in zip(*(c[rows].tolist() for c in columns))))

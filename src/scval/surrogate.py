@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -416,7 +417,12 @@ def kernel_loo(
 _MANIFEST = "manifest.txt"
 _FRAMES = "geometries.xyz"
 _FORMAT = "scval-dataset-v2"
-_MANIFEST_KEYS = ("format", "mode", "seed", "n_entries", "amplitude", "temperature")
+# A manifest value is read back as its key's type: format_config writes an
+# integral float such as 300.0 as "300", which read_config parses as an int.
+# operator.index rejects a non-integral count or seed.
+_MANIFEST_KEYS = {"format": str, "mode": str, "seed": operator.index,
+                  "n_entries": operator.index, "amplitude": float,
+                  "temperature": float}
 _KINDS = {"H": "hamiltonian", "D": "density", "S": "overlap"}
 # np.int64 rejects an integer label that does not fit its array.
 _LABELS = {"e_total": float, "gap": float, "strict_diis": float,
@@ -487,6 +493,12 @@ def load_dataset(path) -> Dataset:
         raise FileFormatError(
             f"{path}: format is not {_FORMAT}; regenerate it with `scval gen`"
         )
+    for key, cast in _MANIFEST_KEYS.items():
+        if key in metadata:
+            try:
+                metadata[key] = cast(metadata[key])
+            except (TypeError, ValueError) as exc:
+                raise FileFormatError(f"{path / _MANIFEST}: {key}: {exc}")
     (species, n_electrons, positions, comments), stacks = _read_stack(path, _KINDS)
     if metadata.get("n_entries") != len(positions):
         raise FileFormatError(

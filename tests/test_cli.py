@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scval import cli, matcore, model, scf, surrogate, validator
+from scval import cli, matcore, model, rng, scf, surrogate, validator
 from scval.errors import FileFormatError
 from scval.rng import substream
 from scval.systems import chain_geometry, ring_geometry
@@ -640,6 +640,34 @@ def test_validate_builds_geometry_terms_once_per_entry(work, tmp_path,
     assert code == 0
     assert len(read_rows(tmp_path / "reports.csv")) == 12 * 2 * 3
     assert counts == {"loewdin_inverse_sqrt": 12, "build_h0": 12, "full_report": 1}
+
+
+def test_validate_seeds_each_blocks_noise_streams_in_one_call(work, tmp_path,
+                                                             monkeypatch):
+    # 12 entries of 2 sigmas x 12 repeats are two blocks (10 and 2
+    # entries): one substreams call each, keyed (entry, sigma, repeat),
+    # and no stream seeded on its own.
+    calls = []
+    real = rng.substreams
+
+    def counting_substreams(seed, labels, rows):
+        calls.append((seed, tuple(labels), np.asarray(rows).tolist()))
+        return real(seed, labels, rows)
+
+    def no_substream(*args):
+        raise AssertionError("a noise stream seeded on its own")
+
+    monkeypatch.setattr(cli, "substreams", counting_substreams)
+    monkeypatch.setattr(rng, "substream", no_substream)
+    monkeypatch.setattr(cli, "substream", no_substream, raising=False)
+    code = cli.main(["validate", "--dataset", str(work["ds"]),
+                     "--predictor", "oracle-noise", "--sigma", "0.001,0.01",
+                     "--repeat", "12", "--seed", "5",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    keys = [[i, j, k] for i in range(12) for j in range(2) for k in range(12)]
+    assert calls == [(5, ("oracle-noise",), keys[:240]),
+                     (5, ("oracle-noise",), keys[240:])]
 
 
 def _per_entry_reports(ds, predict):

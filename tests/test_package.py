@@ -8,6 +8,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "scval"
 PRIVATE_ACCESS = re.compile(
     r"\b(cli|matcore|mdsim|model|rng|scf|stats|surrogate|systems|validator)\._[A-Za-z]"
 )
+# A random generator, bit generator or seed sequence being constructed, or
+# numpy's global state seeded.
+SEEDING = re.compile(
+    r"\b(default_rng|Generator|RandomState|SeedSequence|BitGenerator|PCG64"
+    r"|PCG64DXSM|MT19937|Philox|SFC64|Random)\s*\(|\brandom\.seed\s*\("
+)
 
 
 def test_no_module_reads_another_modules_private_names():
@@ -18,3 +24,15 @@ def test_no_module_reads_another_modules_private_names():
         if PRIVATE_ACCESS.search(line)
     ]
     assert found == []
+
+
+def test_only_rng_seeds_random_streams():
+    # One seeding scheme: every stream comes from rng.substream(s).
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "rng.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if SEEDING.search(line)
+    ]
+    assert found == []
+    assert SEEDING.search((SRC / "rng.py").read_text())

@@ -374,3 +374,41 @@ def test_plot_data_csv_matches_row_oracle(tmp_path_factory, points, fits):
     stats.write_plot_data_csv(base / "columns.csv", xs, ys, entry)
     row_loop_plot_data_csv(base / "rows.csv", xs, ys, entry)
     assert (base / "columns.csv").read_bytes() == (base / "rows.csv").read_bytes()
+
+
+def csv_writer_plot_data_csv(path, xs, ys, entry):
+    """The csv.writer loop write_plot_data_csv replaced, kept as its oracle."""
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    mean_line = entry.mean_fit.predict(xs)
+    sigma = np.maximum(entry.std_fit.predict(xs), 0.0)
+    columns = (xs, ys, mean_line, sigma, mean_line - 3.0 * sigma,
+               mean_line + 3.0 * sigma)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "fit_mean", "fit_std", "band_lo", "band_hi"])
+        for start in range(0, len(xs), 256):
+            rows = slice(start, start + 256)
+            writer.writerows(zip(*([f"{v:.17g}" for v in c[rows].tolist()]
+                                   for c in columns)))
+
+
+def test_plot_data_csv_matches_csv_writer_on_nonfinite_rows(tmp_path):
+    # nan, inf, -inf and -0.0 in the data and in the fits, over several
+    # row blocks, format exactly as csv.writer wrote them.
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -2.5]
+    rng = np.random.default_rng(5)
+    xs = rng.choice(special + list(rng.standard_normal(8)), size=700)
+    ys = rng.choice(special + list(rng.standard_normal(8)), size=700)
+    for slope, intercept in ((0.5, -0.25), (np.inf, 0.0), (np.nan, 1.0), (-0.0, -0.0)):
+        entry = stats.CorrelationEntry(
+            mean_fit=stats.RegressionResult(slope, intercept, 0.5, len(xs)),
+            std_fit=stats.RegressionResult(-slope, 1.0, 0.5, len(xs)),
+            bins=None,
+        )
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+            stats.write_plot_data_csv(tmp_path / "new.csv", xs, ys, entry)
+            csv_writer_plot_data_csv(tmp_path / "old.csv", xs, ys, entry)
+        text = (tmp_path / "new.csv").read_bytes()
+        assert text == (tmp_path / "old.csv").read_bytes()
+        assert b"nan" in text and b"inf" in text

@@ -523,6 +523,36 @@ def test_manifest_format_line(tmp_path):
     assert first == "format = scval-dataset-v2"
 
 
+def test_manifest_values_load_as_their_types(tmp_path):
+    # format_config writes the integral floats 0.0 and 300.0 as "0" and
+    # "300", which read_config alone would parse as ints.
+    ds = surrogate.generate_dataset(chain(1.4), P, 2, amplitude=0.0, seed=3)
+    surrogate.save_dataset(ds, tmp_path / "ds")
+    manifest = (tmp_path / "ds" / "manifest.txt").read_text()
+    assert "amplitude = 0\n" in manifest and "temperature = 300\n" in manifest
+    meta = surrogate.load_dataset(tmp_path / "ds").metadata
+    assert meta == {"format": "scval-dataset-v2", "mode": "random_perturb",
+                    "seed": 3, "n_entries": 2, "amplitude": 0.0,
+                    "temperature": 300.0}
+    assert {k: type(v) for k, v in meta.items()} == {
+        "format": str, "mode": str, "seed": int, "n_entries": int,
+        "amplitude": float, "temperature": float}
+
+
+@pytest.mark.parametrize("line", ["n_entries = 2.5", "seed = 1.0",
+                                  "amplitude = wide", "temperature = T"])
+def test_manifest_value_of_the_wrong_type_is_rejected(tmp_path, line):
+    ds = surrogate.generate_dataset(chain(1.4), P, 2, amplitude=0.02, seed=1)
+    surrogate.save_dataset(ds, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest.txt"
+    key = line.split(" = ")[0]
+    manifest.write_text("".join(
+        line + "\n" if old.startswith(key + " ") else old + "\n"
+        for old in manifest.read_text().splitlines()))
+    with pytest.raises(FileFormatError, match=key):
+        surrogate.load_dataset(tmp_path / "ds")
+
+
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(FileFormatError):
         surrogate.load_dataset(tmp_path)
