@@ -67,7 +67,10 @@ REGULARIZATION = 1e-4
 # The charge residual max|r| (charge units) below which the Newton step
 # replaces the Anderson combination; see the module docstring.  Far from
 # the fixed point the linear response that the step assumes is poor.
-NEWTON_BELOW = 0.05
+# Chosen on random geometries outside the test corpus, one species and
+# polar: 0.3 loses no system that 0.05 converges and saves about a fifth
+# of the iterations, while 0.5 loses a polar one.
+NEWTON_BELOW = 0.3
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,7 @@ def generate_dataset(
     if mode == "random_perturb":
         if amplitude < 0:
             raise ValueError(f"amplitude must be non-negative, got {amplitude}")
+        amplitude += 0.0  # -0.0 becomes 0.0, whose draw bounds are ordered
         rng = substream(seed, "dataset")
         candidates = ((f"sample {k}", seed_geometry.positions + rng.uniform(
             -amplitude, amplitude, size=(seed_geometry.n_atoms, 3)))

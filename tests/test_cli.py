@@ -123,6 +123,22 @@ def test_non_finite_settings_exit_one(work, tmp_path, capsys, argv, config,
     assert setting in capsys.readouterr().err
 
 
+def test_negative_zero_amplitude_is_zero_amplitude(work, tmp_path):
+    # -0.0 passed the negativity check and numpy then rejected its draw
+    # bounds with "high - low < 0" (exit 1).
+    bundles = {}
+    for amplitude in ("0", "-0.0"):
+        out = tmp_path / amplitude
+        assert cli.main(["gen", str(work["ring"]), "--n", "2", "--amplitude",
+                         amplitude, "--out", str(out)]) == 0
+        # resolved_config.txt records the flag as given.
+        bundles[amplitude] = {f.name: f.read_bytes() for f in out.iterdir()
+                              if f.name != "resolved_config.txt"}
+    assert set(bundles["0"]) >= {"H.scvm", "D.scvm", "geometries.xyz",
+                                 "manifest.txt"}
+    assert bundles["-0.0"] == bundles["0"]
+
+
 def test_config_key_no_setting_reads_exits_one(work, tmp_path, capsys):
     # A misspelt key used to be dropped silently: this run solved at the
     # default scf.tol = 1e-9 and alpha = 0.7 and exited 0.  scf.diis_depth
